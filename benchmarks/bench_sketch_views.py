@@ -139,12 +139,12 @@ def run_sketch_views_bench() -> tuple[str, dict]:
         rng=np.random.default_rng(5),
     )
     cached_vertices = np.arange(CACHE_VERTS, dtype=np.int64)
-    bounded.sketch_view_fresh(cached_vertices)
-    reference = bounded.gather_sketch_views(cached_vertices).copy()
+    bounded.materialize_fresh(cached_vertices)
+    reference = bounded.gather_views(cached_vertices).copy()
     evicted = bounded.evict_to_budget()
-    bounded.sketch_view_fresh(cached_vertices)  # deterministic redraw
+    bounded.materialize_fresh(cached_vertices)  # deterministic redraw
     np.testing.assert_array_equal(
-        reference, bounded.gather_sketch_views(cached_vertices)
+        reference, bounded.gather_views(cached_vertices)
     )
 
     rows = {

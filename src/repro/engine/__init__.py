@@ -38,7 +38,6 @@ from repro.engine.pairwise import (
     pairwise_intersections,
 )
 from repro.engine.planner import (
-    CacheSplit,
     ShardPlan,
     ViewPlan,
     WorkloadPlan,
@@ -47,7 +46,6 @@ from repro.engine.planner import (
     plan_shards,
     plan_views,
     plan_workload,
-    split_cached,
 )
 from repro.engine.sharded import (
     ShardDraw,
@@ -81,7 +79,6 @@ from repro.engine.sketches import (
 __all__ = [
     "BATCH_METHODS",
     "BatchQueryEngine",
-    "CacheSplit",
     "EngineResult",
     "FaultAction",
     "FaultPlan",
@@ -114,7 +111,6 @@ __all__ = [
     "plan_views",
     "plan_workload",
     "sketch_family",
-    "split_cached",
     "workload_party",
     "pack_bitset_row",
     "bernoulli_hits",

@@ -30,12 +30,10 @@ from repro.engine.pairwise import (
     pairwise_intersections,
 )
 from repro.engine.planner import (
-    ShardPlan,
     WorkloadPlan,
     pair_keys,
     plan_shards,
     plan_workload,
-    split_cached,
 )
 from repro.engine.sharded import ShardedRunner
 from repro.engine.transport import ShardTransport, make_transport
@@ -276,7 +274,8 @@ class BatchQueryEngine:
 
         ``cache`` (a :class:`~repro.serving.cache.NoisyViewCache`) turns
         the call into one epoch-cached serving tick: vertices (materialize
-        mode) or pairs (sketch mode) already holding an epoch view are
+        and sketch-view modes) or pairs (sketch mode) already holding an
+        epoch view are
         served from the identical cached draw with **zero** additional
         budget charge; only cache misses are perturbed and charged —
         through the cache's :class:`~repro.privacy.epoch.EpochAccountant`
@@ -335,273 +334,190 @@ class BatchQueryEngine:
         if comm is None:
             comm = CommunicationLog()
         domain = graph.layer_size(plan.layer.opposite())
-        k = plan.num_vertices
 
         if cache is not None:
             cache.check_compatible(graph, plan.layer, plan.epsilon, mode, self.sketch)
             return self._estimate_pairs_cached(
-                graph, plan, mode, cache, rng, ledger, comm, domain, k
+                plan, mode, cache, rng, ledger, comm, domain
             )
-        if plan.views is not None and plan.views.num_sketched:
-            return self._estimate_pairs_views(
-                graph, plan, mode, sketch, rng, ledger, comm, domain, k
-            )
-
-        shard_details = None
-        if mode is ExecutionMode.MATERIALIZE and self.sharding:
-            # Sharded path: keyed draws (entropy from the caller's rng, so
-            # the run is reproducible per seed) fanned over the plan's
-            # ranges; shard boundaries never change the drawn bits.
-            # A mem budget sizes the ranges; an explicit count only
-            # applies without one (it then still caps the workers).
-            runner = self._shard_runner(graph, plan.layer)
-            shard_plan = plan_shards(
-                graph, plan.layer, plan.vertices, plan.epsilon,
-                shards=self._plan_shard_count(runner),
-                mem_bytes=self.shard_mem_bytes,
-            )
-            entropy = int(rng.integers(1 << 62))
-            workload = runner.run_workload(
-                shard_plan, plan.epsilon, entropy=entropy, epoch=0,
-                ia=plan.ia, ib=plan.ib, domain=domain,
-            )
-            sizes = workload.sizes
-            n1 = workload.n1
-            n2 = sizes[plan.ia] + sizes[plan.ib] - n1
-            backend = "sharded"
-            shard_details = {
-                "count": shard_plan.num_shards,
-                "mem_bytes": shard_plan.mem_bytes,
-                "draw": workload.shards,
-                "pairwise": workload.blocks,
-                "faults": workload.faults,
-                "transport": workload.transport,
-            }
-        elif mode is ExecutionMode.MATERIALIZE:
-            indptr, columns = bulk_randomized_response(
-                graph, plan.layer, plan.vertices, plan.epsilon, rng
-            )
-            sizes = np.diff(indptr)
-            backend = choose_backend(k, plan.num_pairs, domain)
-            n1 = pairwise_intersections(
-                indptr, columns, plan.ia, plan.ib, domain, backend=backend
-            )
-            n2 = sizes[plan.ia] + sizes[plan.ib] - n1
-        else:
+        if mode is ExecutionMode.SKETCH:
             n1, n2, sizes = sketch_pair_counts(
                 graph, plan.layer, plan.vertices, plan.ia, plan.ib, plan.epsilon, rng
             )
-            backend = "sketch"
+            values = debias_pair_counts(n1, n2, domain, plan.epsilon)
+            upload_bytes = int(sizes.sum()) * ID_BYTES
+            details: dict = {"backend": "sketch"}
+        else:
+            values, n1, n2, upload_bytes, details = self._estimate_views(
+                graph, plan, sketch, rng, domain
+            )
 
-        values = debias_pair_counts(n1, n2, domain, plan.epsilon)
-        upload_bytes = int(sizes.sum()) * ID_BYTES
-
+        k = plan.num_vertices
         party = workload_party(plan.layer, k)
+        # Every vertex — listed, sketched or pair-sampled — releases one
+        # ε-LDP report: one parallel-composition charge for the batch.
         ledger.charge_parallel(
             party, plan.epsilon, "randomized-response", "engine-batch-rr", count=k
         )
-        comm.record(Direction.UPLOAD, upload_bytes, "engine-batch:edges")
+        comm.record(
+            Direction.UPLOAD,
+            upload_bytes,
+            "engine-batch:views" if "planner" in details else "engine-batch:edges",
+        )
         ledger.assert_within(ledger.limit if ledger.limit is not None else plan.epsilon)
-
-        return EngineResult(
-            layer=plan.layer,
-            epsilon=plan.epsilon,
-            pairs=plan.pairs,
-            values=values,
-            noisy_intersections=np.asarray(n1, dtype=np.int64),
-            noisy_unions=np.asarray(n2, dtype=np.int64),
-            vertices=plan.vertices,
-            ia=plan.ia,
-            ib=plan.ib,
-            upload_bytes=upload_bytes,
-            num_query_vertices=k,
-            mode=mode,
-            max_epsilon_spent=ledger.max_spent(),
-            details={
-                "flip_probability": flip_probability(plan.epsilon),
-                "candidate_pool": domain,
-                "backend": backend,
-                "party": party,
-                **({"shards": shard_details} if shard_details else {}),
-            },
+        return self._result(
+            plan, mode, values, n1, n2, upload_bytes, ledger.max_spent(), domain,
+            party=party, **details,
         )
 
-    @staticmethod
-    def _planner_details(vp) -> dict:
-        """The ``details["planner"]`` payload for a view-planned batch."""
-        return {
-            "sketched_vertices": vp.num_sketched,
-            "listed_vertices": vp.num_listed,
-            "promoted": vp.promoted,
-            "sketch_bytes_per_vertex": vp.sketch_bytes,
-            "est_view_bytes": vp.est_view_bytes,
-        }
-
-    def _estimate_pairs_views(
+    def _estimate_views(
         self,
         graph: BipartiteGraph,
         plan: WorkloadPlan,
-        mode: ExecutionMode,
-        sketch: SketchConfig,
+        sketch: "SketchConfig | None",
         rng: np.random.Generator,
-        ledger: PrivacyLedger,
-        comm: CommunicationLog,
         domain: int,
-        k: int,
-    ) -> EngineResult:
-        """One view-planned batch: sketched and listed sub-blocks side by side.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, dict]:
+        """One uncached batch answered from fresh per-vertex views.
 
-        The plan's sketch mask is pair-closed, so every pair is answered
-        from exactly one view kind: sketched pairs through the family's
-        debiased intersection estimator, listed pairs through the usual
-        bulk-RR + pairwise + Theorem-3 pipeline. Each vertex releases
-        exactly one ε-LDP view either way, so the batch privacy charge is
-        unchanged. The sketch entropy is drawn from ``rng`` *before* any
-        listed randomness, making the sketch bits invariant to the listed
-        path's backend and sharding (and bit-reproducible per seed).
+        Returns ``(values, n1, n2, upload_bytes, details)``. A vertex is
+        *listed* (a noisy RR row) or, under a view plan, *sketched* (a
+        fixed-size sketch). The plan's sketch mask is pair-closed, so
+        every pair is answered from one view kind: sketched pairs through
+        the family's debiased intersection estimator, listed pairs
+        through the pairwise + Theorem-3 pipeline. A plan without
+        sketched vertices (every plain materialize call) is the all-listed
+        case and draws no sketch entropy. Otherwise the sketch entropy is
+        drawn from ``rng`` *before* any listed randomness, making the
+        sketch bits invariant to the listed block's backend and sharding
+        (and bit-reproducible per seed).
 
         Sketched pairs have no ``(N1, N2)`` counts; their slots carry the
-        ``-1`` sentinel in ``noisy_intersections``/``noisy_unions``.
-        ``details["sketch_variance"]`` carries the closed-form variance of
-        each sketched pair's estimate (0 for listed pairs).
+        ``-1`` sentinel. ``details["sketch_variance"]`` carries the
+        closed-form variance of each sketched pair's estimate (0 for
+        listed pairs).
         """
         vp = plan.views
-        family = sketch_family(sketch)
-        sk = vp.sketch_mask
-        pair_sk = sk[plan.ia]  # closure: sk[ia] == sk[ib] for every pair
-
-        # --- sketched sub-block (entropy first: see docstring) ---------
-        sk_slots = np.flatnonzero(sk)
-        pos_sk = np.full(k, -1, dtype=np.int64)
-        pos_sk[sk_slots] = np.arange(sk_slots.size)
-        entropy = int(rng.integers(1 << 62))
-        views = family.encode_release(
-            graph, plan.layer, plan.vertices[sk_slots], plan.epsilon,
-            entropy=entropy, epoch=0,
+        sketched = vp is not None and vp.num_sketched > 0
+        sk = (
+            vp.sketch_mask if sketched else np.zeros(plan.num_vertices, dtype=bool)
         )
-        ia_sk = pos_sk[plan.ia[pair_sk]]
-        ib_sk = pos_sk[plan.ib[pair_sk]]
-        sketch_values = family.intersect(views, ia_sk, ib_sk, plan.epsilon)
-        sketch_bytes = int(views.nbytes)
-
-        # --- listed sub-block ------------------------------------------
-        listed_slots = np.flatnonzero(~sk)
-        pos_li = np.full(k, -1, dtype=np.int64)
-        pos_li[listed_slots] = np.arange(listed_slots.size)
-        ia_li = pos_li[plan.ia[~pair_sk]]
-        ib_li = pos_li[plan.ib[~pair_sk]]
+        pair_sk = sk[plan.ia]  # closure: sk[ia] == sk[ib] for every pair
         n1 = np.full(plan.num_pairs, -1, dtype=np.int64)
         n2 = np.full(plan.num_pairs, -1, dtype=np.int64)
         values = np.empty(plan.num_pairs, dtype=np.float64)
-        values[pair_sk] = sketch_values
-        listed_bytes = 0
-        shard_details = None
-        backend = "sketch-view"
-        if listed_slots.size:
-            listed = plan.vertices[listed_slots]
-            if self.sharding:
-                runner = self._shard_runner(graph, plan.layer)
-                shard_plan = plan_shards(
-                    graph, plan.layer, listed, plan.epsilon,
-                    shards=self._plan_shard_count(runner),
-                    mem_bytes=self.shard_mem_bytes,
-                )
-                workload = runner.run_workload(
-                    shard_plan, plan.epsilon,
-                    entropy=int(rng.integers(1 << 62)), epoch=0,
-                    ia=ia_li, ib=ib_li, domain=domain,
-                )
-                sizes = workload.sizes
-                li_n1 = workload.n1
-                backend = "sketch-view+sharded"
-                shard_details = {
-                    "count": shard_plan.num_shards,
-                    "mem_bytes": shard_plan.mem_bytes,
-                    "draw": workload.shards,
-                    "pairwise": workload.blocks,
-                    "faults": workload.faults,
-                    "transport": workload.transport,
-                }
-            else:
-                indptr, columns = bulk_randomized_response(
-                    graph, plan.layer, listed, plan.epsilon, rng
-                )
-                li_backend = choose_backend(
-                    listed.size, int(ia_li.size), domain
-                )
-                li_n1 = pairwise_intersections(
-                    indptr, columns, ia_li, ib_li, domain, backend=li_backend
-                )
-                backend = f"sketch-view+{li_backend}"
-                sizes = np.diff(indptr)
-            li_n2 = sizes[ia_li] + sizes[ib_li] - li_n1
-            n1[~pair_sk] = li_n1
-            n2[~pair_sk] = li_n2
-            values[~pair_sk] = debias_pair_counts(
-                li_n1, li_n2, domain, plan.epsilon
+        upload_bytes = 0
+        details: dict = {"backend": "sketch-view"}
+
+        if sketched:
+            family = sketch_family(sketch)
+            ia_sk, ib_sk = _sub_block(sk, plan.ia[pair_sk], plan.ib[pair_sk])
+            entropy = int(rng.integers(1 << 62))
+            views = family.encode_release(
+                graph, plan.layer, plan.vertices[sk], plan.epsilon,
+                entropy=entropy, epoch=0,
             )
-            # Every listed vertex uploads its full noisy row regardless of
-            # where it was reduced, so sizes (not a fragment's columns)
-            # are the honest upload accounting.
-            listed_bytes = int(sizes.sum()) * ID_BYTES
-
-        # Closed-form variance of every sketched estimate (listed slots 0),
-        # from the family's conservative bound at the estimated degrees.
-        deg_hat = np.clip(family.cardinality(views, plan.epsilon), 0.0, None)
-        variance = np.zeros(plan.num_pairs, dtype=np.float64)
-        variance[pair_sk] = family.intersection_variance(
-            deg_hat[ia_sk], deg_hat[ib_sk],
-            np.clip(sketch_values, 0.0, None), plan.epsilon,
-        )
-
-        upload_bytes = listed_bytes + sketch_bytes
-        party = workload_party(plan.layer, k)
-        # Every vertex — sketched or listed — releases exactly one ε-LDP
-        # view, so the batch charge is the same parallel composition as
-        # the all-materialized path.
-        ledger.charge_parallel(
-            party, plan.epsilon, "randomized-response", "engine-batch-rr", count=k
-        )
-        comm.record(Direction.UPLOAD, upload_bytes, "engine-batch:views")
-        ledger.assert_within(
-            ledger.limit if ledger.limit is not None else plan.epsilon
-        )
-
-        return EngineResult(
-            layer=plan.layer,
-            epsilon=plan.epsilon,
-            pairs=plan.pairs,
-            values=values,
-            noisy_intersections=n1,
-            noisy_unions=n2,
-            vertices=plan.vertices,
-            ia=plan.ia,
-            ib=plan.ib,
-            upload_bytes=upload_bytes,
-            num_query_vertices=k,
-            mode=mode,
-            max_epsilon_spent=ledger.max_spent(),
-            details={
-                "flip_probability": flip_probability(plan.epsilon),
-                "candidate_pool": domain,
-                "backend": backend,
-                "party": party,
-                "planner": {
-                    **self._planner_details(vp),
+            sketch_values = family.intersect(views, ia_sk, ib_sk, plan.epsilon)
+            values[pair_sk] = sketch_values
+            upload_bytes += int(views.nbytes)
+            # Closed-form variance of every sketched estimate (listed slots
+            # 0), from the family's conservative bound at the estimated
+            # degrees.
+            deg_hat = np.clip(family.cardinality(views, plan.epsilon), 0.0, None)
+            variance = np.zeros(plan.num_pairs, dtype=np.float64)
+            variance[pair_sk] = family.intersection_variance(
+                deg_hat[ia_sk], deg_hat[ib_sk],
+                np.clip(sketch_values, 0.0, None), plan.epsilon,
+            )
+            details.update(
+                planner={
+                    "sketched_vertices": vp.num_sketched,
+                    "listed_vertices": vp.num_listed,
+                    "promoted": vp.promoted,
+                    "sketch_bytes_per_vertex": vp.sketch_bytes,
+                    "est_view_bytes": vp.est_view_bytes,
                     "sketch_kind": sketch.kind,
                     "sketch_buckets": sketch.m,
                     "sketch_pairs": int(np.count_nonzero(pair_sk)),
                     "listed_pairs": int(np.count_nonzero(~pair_sk)),
                 },
-                "sketch_entropy": entropy,
-                "sketch_variance": variance,
-                **({"shards": shard_details} if shard_details else {}),
-            },
+                sketch_entropy=entropy,
+                sketch_variance=variance,
+            )
+
+        if not sk.all():
+            listed = ~pair_sk
+            ia_li, ib_li = _sub_block(~sk, plan.ia[listed], plan.ib[listed])
+            li_n1, sizes, backend, shard_details = self._draw_listed(
+                graph, plan.layer, plan.vertices[~sk], ia_li, ib_li,
+                plan.epsilon, rng, domain,
+            )
+            li_n2 = sizes[ia_li] + sizes[ib_li] - li_n1
+            n1[listed] = li_n1
+            n2[listed] = li_n2
+            values[listed] = debias_pair_counts(li_n1, li_n2, domain, plan.epsilon)
+            # Every listed vertex uploads its full noisy row regardless of
+            # where it was reduced, so sizes (not a fragment's columns)
+            # are the honest upload accounting.
+            upload_bytes += int(sizes.sum()) * ID_BYTES
+            details["backend"] = f"sketch-view+{backend}" if sketched else backend
+            if shard_details:
+                details["shards"] = shard_details
+        return values, n1, n2, upload_bytes, details
+
+    def _draw_listed(
+        self,
+        graph: BipartiteGraph,
+        layer: Layer,
+        vertices: np.ndarray,
+        ia: np.ndarray,
+        ib: np.ndarray,
+        epsilon: float,
+        rng: np.random.Generator,
+        domain: int,
+    ) -> tuple[np.ndarray, np.ndarray, str, dict | None]:
+        """Draw fresh RR rows for ``vertices`` and count every pair's N1.
+
+        Returns ``(n1, row_sizes, backend, shard_details)``. A sharding
+        engine fans keyed draws (entropy from ``rng``, so the run is
+        reproducible per seed) over the shard plan's ranges and reduces
+        N1 per shard block — shard boundaries never change the drawn
+        bits; a mem budget sizes the ranges, an explicit count only
+        applies without one (it then still caps the workers). Otherwise
+        one shared bulk-RR pass feeds the pairwise backend chosen for the
+        block's shape.
+        """
+        if not self.sharding:
+            indptr, columns = bulk_randomized_response(
+                graph, layer, vertices, epsilon, rng
+            )
+            backend = choose_backend(vertices.size, ia.size, domain)
+            n1 = pairwise_intersections(
+                indptr, columns, ia, ib, domain, backend=backend
+            )
+            return n1, np.diff(indptr), backend, None
+        runner = self._shard_runner(graph, layer)
+        shard_plan = plan_shards(
+            graph, layer, vertices, epsilon,
+            shards=self._plan_shard_count(runner),
+            mem_bytes=self.shard_mem_bytes,
         )
+        workload = runner.run_workload(
+            shard_plan, epsilon,
+            entropy=int(rng.integers(1 << 62)), epoch=0,
+            ia=ia, ib=ib, domain=domain,
+        )
+        return workload.n1, workload.sizes, "sharded", {
+            "count": shard_plan.num_shards,
+            "mem_bytes": shard_plan.mem_bytes,
+            "draw": workload.shards,
+            "pairwise": workload.blocks,
+            "faults": workload.faults,
+            "transport": workload.transport,
+        }
 
     def _estimate_pairs_cached(
         self,
-        graph: BipartiteGraph,
         plan: WorkloadPlan,
         mode: ExecutionMode,
         cache: "NoisyViewCache",
@@ -609,87 +525,29 @@ class BatchQueryEngine:
         ledger: PrivacyLedger,
         comm: CommunicationLog,
         domain: int,
-        k: int,
     ) -> EngineResult:
         """One serving tick: perturb and charge only the cache misses.
 
-        Materialize mode splits the plan's distinct vertex block into
-        cached/uncached halves — the uncached block passes through one
-        bulk RR draw and joins the cache, then the whole tick is answered
-        from cached rows (so a pair repeated within the epoch gets a
-        bit-identical estimate). Sketch mode is pair-granular: repeated
-        pairs replay their cached ``(N1, N2)`` draw; new pairs draw fresh
-        statistics and recharge their endpoints (documented sketch-mode
-        honesty: without a stored list there is nothing to reuse).
+        Materialize and sketch-view modes are vertex-granular: the plan's
+        distinct vertex block goes through
+        :meth:`~repro.serving.cache.NoisyViewCache.resolve_views` (charge
+        the never-drawn vertices, draw the non-resident ones, gather),
+        then the whole tick is answered from cached views — so a pair
+        repeated within the epoch gets a bit-identical estimate. Sketch
+        mode is pair-granular: repeated pairs replay their cached
+        ``(N1, N2)`` draw; new pairs draw fresh statistics and recharge
+        their endpoints (documented sketch-mode honesty: without a
+        stored list there is nothing to reuse).
         """
-        accountant = cache.accountant
         recharges_before = cache.stats.recharges
-        if mode is ExecutionMode.MATERIALIZE:
-            split = split_cached(plan, cache.vertex_cached_mask(plan.vertices))
-            # Only vertices never drawn this epoch are charged: a bounded
-            # cache reconstructs evicted views deterministically, so their
-            # redraw is privacy-free. Charge *before* drawing: a refused
-            # charge (epoch allowance, ledger limit) must leave no stored
-            # view behind, or later queries would ride the uncharged draw
-            # for free.
-            charged = cache.uncharged(split.uncached)
-            party = accountant.charge_vertices(
-                plan.layer, charged, plan.epsilon,
-                "randomized-response", "serve-rr", ledger=ledger,
-            )
-            fresh_bytes = 0
-            cache.last_shard_draw = []
-            cache.last_shard_faults = {}
-            if split.num_uncached:
-                fresh_bytes = cache.materialize_fresh(split.uncached, rng) * ID_BYTES
-            indptr, columns = cache.gather_views(plan.vertices)
-            sizes = np.diff(indptr)
-            backend = choose_backend(k, plan.num_pairs, domain)
-            packed = (
-                cache.packed_matrix(plan.vertices) if backend == "bitset" else None
-            )
-            n1 = pairwise_intersections(
-                indptr, columns, plan.ia, plan.ib, domain,
-                backend=backend, packed=packed,
-            )
-            n2 = sizes[plan.ia] + sizes[plan.ib] - n1
-            hits, misses = split.num_cached, split.num_uncached
-            cache.stats.vertex_hits += hits
-            cache.stats.vertex_misses += misses
-            values = None
-        elif mode is ExecutionMode.SKETCH_VIEW:
-            # Vertex-granular like materialize: a resident sketch view is
-            # reused bit for bit, only never-drawn vertices are charged,
-            # and evicted views reconstruct from their keyed streams.
-            split = split_cached(
-                plan, cache.sketch_view_cached_mask(plan.vertices)
-            )
-            charged = cache.uncharged(split.uncached)
-            party = accountant.charge_vertices(
-                plan.layer, charged, plan.epsilon,
-                "randomized-response", "serve-rr", ledger=ledger,
-            )
-            fresh_bytes = 0
-            if split.num_uncached:
-                fresh_bytes = cache.sketch_view_fresh(split.uncached, rng)
-            views = cache.gather_sketch_views(plan.vertices)
-            family = sketch_family(cache.sketch)
-            values = family.intersect(views, plan.ia, plan.ib, plan.epsilon)
-            n1 = np.full(plan.num_pairs, -1, dtype=np.int64)
-            n2 = np.full(plan.num_pairs, -1, dtype=np.int64)
-            backend = "sketch-view"
-            hits, misses = split.num_cached, split.num_uncached
-            cache.stats.vertex_hits += hits
-            cache.stats.vertex_misses += misses
-        else:
+        if mode is ExecutionMode.SKETCH:
             keys = pair_keys(plan)
             hit_mask = np.fromiter(
                 (cache.has_pair(a, b) for a, b in keys),
                 dtype=bool,
                 count=plan.num_pairs,
             )
-            backend = "sketch"
-            fresh_bytes = 0
+            upload_bytes = 0
             charged = np.empty(0, dtype=np.int64)
             party = None
             if not hit_mask.all():
@@ -699,20 +557,19 @@ class BatchQueryEngine:
                 # a bounded cache replays evicted pairs deterministically.
                 miss_keys = np.unique(keys[~hit_mask], axis=0)
                 new_keys = cache.unseen_pairs(miss_keys)
-                verts = (
+                charged = (
                     np.unique(new_keys)
                     if new_keys.size
                     else np.empty(0, dtype=np.int64)
                 )
-                # As above: the charge must precede the draw so a refusal
-                # leaves no uncharged cached statistics behind.
-                party = accountant.charge_vertices(
-                    plan.layer, verts, plan.epsilon,
+                # The charge must precede the draw so a refusal leaves no
+                # uncharged cached statistics behind.
+                party = cache.accountant.charge_vertices(
+                    plan.layer, charged, plan.epsilon,
                     "randomized-response", "serve-rr", ledger=ledger,
                 )
                 _, _, upload_ids = cache.sketch_fresh(miss_keys, rng)
-                fresh_bytes = upload_ids * ID_BYTES
-                charged = verts
+                upload_bytes = upload_ids * ID_BYTES
             counts = [cache.pair_counts(a, b) for a, b in keys]
             n1 = np.array([c[0] for c in counts], dtype=np.int64)
             n2 = np.array([c[1] for c in counts], dtype=np.int64)
@@ -720,16 +577,83 @@ class BatchQueryEngine:
             misses = plan.num_pairs - hits
             cache.stats.pair_hits += hits
             cache.stats.pair_misses += misses
-            values = None
-
-        if values is None:
             values = debias_pair_counts(n1, n2, domain, plan.epsilon)
-        if fresh_bytes:
-            comm.record(Direction.UPLOAD, fresh_bytes, "engine-batch:edges")
+            backend = "sketch"
+        else:
+            resolved = cache.resolve_views(plan.vertices, rng, ledger=ledger)
+            charged, party = resolved.charged, resolved.party
+            upload_bytes = resolved.upload_bytes
+            misses = resolved.drawn
+            hits = plan.num_vertices - misses
+            if mode is ExecutionMode.SKETCH_VIEW:
+                values = sketch_family(cache.sketch).intersect(
+                    resolved.views, plan.ia, plan.ib, plan.epsilon
+                )
+                n1 = np.full(plan.num_pairs, -1, dtype=np.int64)
+                n2 = np.full(plan.num_pairs, -1, dtype=np.int64)
+                backend = "sketch-view"
+            else:
+                indptr, columns = resolved.views
+                sizes = np.diff(indptr)
+                backend = choose_backend(plan.num_vertices, plan.num_pairs, domain)
+                packed = (
+                    cache.packed_matrix(plan.vertices)
+                    if backend == "bitset"
+                    else None
+                )
+                n1 = pairwise_intersections(
+                    indptr, columns, plan.ia, plan.ib, domain,
+                    backend=backend, packed=packed,
+                )
+                n2 = sizes[plan.ia] + sizes[plan.ib] - n1
+                values = debias_pair_counts(n1, n2, domain, plan.epsilon)
+
+        if upload_bytes:
+            comm.record(Direction.UPLOAD, upload_bytes, "engine-batch:edges")
         # The tick is done with its working set: enforce the LRU budget
         # (no-op on unbounded caches).
         cache.evict_to_budget()
+        shards = (
+            {
+                "shards": {
+                    "draw": cache.last_shard_draw,
+                    "faults": cache.last_shard_faults,
+                }
+            }
+            if cache.shard_runner is not None and cache.last_shard_draw
+            else {}
+        )
+        return self._result(
+            plan, mode, values, n1, n2, upload_bytes,
+            cache.accountant.max_lifetime_spent(), domain,
+            backend=backend,
+            party=party,
+            cache={
+                "epoch": cache.epoch,
+                "hits": hits,
+                "misses": misses,
+                "charged_vertices": int(charged.size),
+                # Evicted entries redrawn (privacy-free) by this tick:
+                # re-upload work the byte budget traded for memory.
+                "recharges": cache.stats.recharges - recharges_before,
+            },
+            **shards,
+        )
 
+    @staticmethod
+    def _result(
+        plan: WorkloadPlan,
+        mode: ExecutionMode,
+        values: np.ndarray,
+        n1: np.ndarray,
+        n2: np.ndarray,
+        upload_bytes: int,
+        max_epsilon_spent: float,
+        domain: int,
+        **details,
+    ) -> EngineResult:
+        """Every route's :class:`EngineResult`, with the shared ``details``
+        keys (flip probability, candidate pool) ahead of the route's own."""
         return EngineResult(
             layer=plan.layer,
             epsilon=plan.epsilon,
@@ -740,34 +664,14 @@ class BatchQueryEngine:
             vertices=plan.vertices,
             ia=plan.ia,
             ib=plan.ib,
-            upload_bytes=fresh_bytes,
-            num_query_vertices=k,
+            upload_bytes=upload_bytes,
+            num_query_vertices=plan.num_vertices,
             mode=mode,
-            max_epsilon_spent=accountant.max_lifetime_spent(),
+            max_epsilon_spent=max_epsilon_spent,
             details={
                 "flip_probability": flip_probability(plan.epsilon),
                 "candidate_pool": domain,
-                "backend": backend,
-                "party": party,
-                "cache": {
-                    "epoch": cache.epoch,
-                    "hits": hits,
-                    "misses": misses,
-                    "charged_vertices": int(charged.size),
-                    # Evicted entries redrawn (privacy-free) by this tick:
-                    # re-upload work the byte budget traded for memory.
-                    "recharges": cache.stats.recharges - recharges_before,
-                },
-                **(
-                    {
-                        "shards": {
-                            "draw": cache.last_shard_draw,
-                            "faults": cache.last_shard_faults,
-                        }
-                    }
-                    if cache.shard_runner is not None and cache.last_shard_draw
-                    else {}
-                ),
+                **details,
             },
         )
 
@@ -775,3 +679,13 @@ class BatchQueryEngine:
         self, graph: BipartiteGraph, layer: Layer, mode: ExecutionMode | None
     ) -> ExecutionMode:
         return resolve_mode(graph, layer, mode if mode is not None else self.mode)
+
+
+def _sub_block(
+    members: np.ndarray, ia: np.ndarray, ib: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-index pair slots into the sub-block of vertices with ``members``
+    set (every listed slot must be a member)."""
+    position = np.full(members.size, -1, dtype=np.int64)
+    position[members] = np.arange(int(np.count_nonzero(members)))
+    return position[ia], position[ib]

@@ -8,11 +8,11 @@ explicit per-batch ``epsilon`` or as one slice of a
 :class:`~repro.privacy.composition.QueryBudgetManager`, so a sequence of
 batches can honestly share an analyst budget.
 
-For epoch-cached serving the plan additionally splits into cached and
-uncached blocks: :func:`split_cached` partitions the distinct vertex block
-by a cache-membership mask (only the uncached block is perturbed — and
-charged — this tick), and :func:`pair_keys` gives every pair its
-order-normalized key for pair-granular (sketch-mode) caching.
+For epoch-cached serving, :func:`pair_keys` gives every pair its
+order-normalized key for pair-granular (sketch-mode) caching; the
+vertex-granular modes resolve the plan's distinct vertex block through
+the cache itself (only its non-resident vertices are perturbed, and only
+its never-drawn vertices are charged, each tick).
 
 Sketch-view planning (:func:`plan_views`) adds the per-vertex list-vs-
 sketch decision: a vertex whose expected noisy row outweighs the
@@ -40,12 +40,10 @@ from repro.privacy.mechanisms import flip_probability
 
 __all__ = [
     "WorkloadPlan",
-    "CacheSplit",
     "TenantSlice",
     "ShardPlan",
     "ViewPlan",
     "plan_workload",
-    "split_cached",
     "pair_keys",
     "slice_by_tenant",
     "estimate_noisy_row_bytes",
@@ -80,41 +78,6 @@ class WorkloadPlan:
     @property
     def num_vertices(self) -> int:
         return int(self.vertices.size)
-
-
-@dataclass(frozen=True)
-class CacheSplit:
-    """A plan's distinct vertex block partitioned by cache membership."""
-
-    cached: np.ndarray
-    uncached: np.ndarray
-
-    @property
-    def num_cached(self) -> int:
-        return int(self.cached.size)
-
-    @property
-    def num_uncached(self) -> int:
-        return int(self.uncached.size)
-
-
-def split_cached(plan: WorkloadPlan, cached_mask: np.ndarray) -> CacheSplit:
-    """Partition the plan's distinct vertices into cached/uncached blocks.
-
-    ``cached_mask`` is a boolean per entry of ``plan.vertices`` (True when
-    an epoch view already exists). Only the uncached block passes through
-    randomized response — and the privacy charge — this tick.
-    """
-    cached_mask = np.asarray(cached_mask, dtype=bool)
-    if cached_mask.shape != (plan.num_vertices,):
-        raise ProtocolError(
-            f"cache mask shape {cached_mask.shape} does not match the "
-            f"plan's {plan.num_vertices} distinct vertices"
-        )
-    return CacheSplit(
-        cached=plan.vertices[cached_mask],
-        uncached=plan.vertices[~cached_mask],
-    )
 
 
 @dataclass(frozen=True)

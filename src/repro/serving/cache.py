@@ -8,10 +8,13 @@ privacy loss. :class:`NoisyViewCache` formalizes that as an epoch-scoped
 store keyed by the serving layer's fixed ``(graph, layer, epsilon,
 mode)``:
 
-* **Materialize mode** caches each vertex's noisy neighbor list (and,
-  lazily, its packed bitset row). A tick only perturbs — and only
-  charges — vertices without a cached view; every later query touching a
-  cached vertex in the same epoch reuses the identical draw, bit for bit.
+* **Materialize and sketch-view modes** cache one *vertex view* per
+  vertex: its noisy neighbor list (and, lazily, its packed bitset row)
+  or its fixed-size released sketch, in one resident store. Every view
+  takes one path, :meth:`NoisyViewCache.resolve_views`: charge the
+  vertices not yet drawn this epoch, draw only the non-resident ones,
+  gather. Every later query touching a cached vertex in the same epoch
+  reuses the identical draw, bit for bit.
 * **Sketch mode** never materializes lists, so per-vertex reuse has no
   state to reuse; the cache is pair-granular instead: a repeated pair is
   served from its cached ``(N1, N2)`` draw for free, while a *new* pair
@@ -79,12 +82,14 @@ from repro.engine.sketches import SketchConfig, check_sketch_epsilon, sketch_fam
 from repro.errors import ProtocolError
 from repro.graph.bipartite import BipartiteGraph, Layer
 from repro.graph.delta import DeltaLog
+from repro.privacy.accountant import PrivacyLedger
 from repro.privacy.epoch import EpochAccountant
 from repro.privacy.mechanisms import LaplaceMechanism
 from repro.privacy.rng import RngLike, ensure_rng
+from repro.protocol.messages import ID_BYTES
 from repro.protocol.session import ExecutionMode, resolve_mode
 
-__all__ = ["CacheStats", "NoisyViewCache"]
+__all__ = ["CacheStats", "NoisyViewCache", "ResolvedViews"]
 
 # Bookkeeping cost of one sketch-mode pair entry: the (min, max) key and
 # the (N1, N2) counts, as four 8-byte integers.
@@ -119,8 +124,22 @@ class CacheStats:
         return hits / total if total else 0.0
 
 
+@dataclass(frozen=True)
+class ResolvedViews:
+    """What one :meth:`NoisyViewCache.resolve_views` call did."""
+
+    drawn: int  # non-resident vertices drawn (the misses)
+    charged: np.ndarray  # vertices charged: never drawn this epoch
+    party: str | None  # the accountant's ledger party (None: nothing charged)
+    upload_bytes: int  # bytes of the (re-)released views
+    # The gathered block — CSR ``(indptr, columns)`` rows in materialize
+    # mode, one stacked array in sketch-view mode; None when not gathered.
+    views: "tuple[np.ndarray, np.ndarray] | np.ndarray | None"
+
+
 class NoisyViewCache:
-    """Per-vertex (materialize) / per-pair (sketch) noisy views for one epoch.
+    """Per-vertex (materialize, sketch-view) / per-pair (sketch) noisy views
+    for one epoch.
 
     Parameters
     ----------
@@ -146,7 +165,7 @@ class NoisyViewCache:
         *charge memory* (which keys were drawn this epoch) survives
         eviction by design and is not part of the byte accounting; it
         is O(distinct keys per epoch) — bounded by the layer size in
-        materialize mode, by rotation cadence in sketch mode.
+        the vertex-view modes, by rotation cadence in sketch mode.
     rng:
         Entropy source for the keyed deterministic streams (one integer
         is drawn at construction; pass the server's generator for
@@ -267,16 +286,15 @@ class NoisyViewCache:
         self.last_shard_draw: list[dict] = []
         self.last_shard_faults: dict = {}
         self._bytes = 0
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+        # Resident vertex views in LRU order: noisy rows (materialize) or
+        # fixed-size released sketches (sketch-view), one store either way.
+        self._views: OrderedDict[int, np.ndarray] = OrderedDict()
         self._packed: dict[int, np.ndarray] = {}
         self._pair_counts: OrderedDict[tuple[int, int], tuple[int, int]] = (
             OrderedDict()
         )
-        # Per-vertex released sketch views (sketch-view mode): one fixed
-        # size array per vertex, under the same byte budget as rows.
         self.sketch = sketch
         self._family = sketch_family(sketch) if sketch is not None else None
-        self._sketch_views: OrderedDict[int, np.ndarray] = OrderedDict()
         self._degrees: OrderedDict[int, float] = OrderedDict()
         # Epoch-scoped charge memory: which vertices/pairs/degrees have
         # already been drawn (and charged) this epoch, surviving eviction.
@@ -296,26 +314,27 @@ class NoisyViewCache:
         self._shard_group_seq = 0
 
     # ------------------------------------------------------------------
-    # Materialize mode: per-vertex noisy neighbor lists
+    # Vertex views (materialize rows, sketch-view sketches)
     # ------------------------------------------------------------------
     def has_view(self, vertex: int) -> bool:
-        """True when ``vertex`` holds a resident noisy view this epoch."""
-        return int(vertex) in self._rows
+        """True when ``vertex`` holds a resident view this epoch."""
+        return int(vertex) in self._views
 
     def view(self, vertex: int) -> np.ndarray:
-        """The cached noisy neighbor list (sorted column ids).
+        """The cached view: a noisy neighbor list (sorted column ids) in
+        materialize mode, the released sketch in sketch-view mode.
 
         Raises
         ------
         KeyError
             If the vertex holds no resident view (check :meth:`has_view`).
         """
-        return self._rows[int(vertex)]
+        return self._views[int(vertex)]
 
     def vertex_cached_mask(self, vertices: np.ndarray) -> np.ndarray:
         """Boolean per entry: does a resident epoch view already exist?"""
         return np.fromiter(
-            (int(v) in self._rows for v in vertices),
+            (int(v) in self._views for v in vertices),
             dtype=bool,
             count=len(vertices),
         )
@@ -333,34 +352,72 @@ class NoisyViewCache:
             dtype=np.int64,
         )
 
-    def store_views(
-        self, vertices: np.ndarray, indptr: np.ndarray, columns: np.ndarray
-    ) -> None:
-        """Adopt freshly drawn CSR rows as this epoch's views."""
-        for i, vertex in enumerate(vertices):
-            row = np.array(columns[indptr[i] : indptr[i + 1]], dtype=np.int64)
-            self._store_row(int(vertex), row)
+    def resolve_views(
+        self,
+        vertices: np.ndarray,
+        rng: RngLike = None,
+        *,
+        ledger: PrivacyLedger | None = None,
+        stage: str = "serve-rr",
+        gather: bool = True,
+    ) -> ResolvedViews:
+        """Charge, draw and gather the views of distinct ``vertices``.
 
-    def _store_row(self, vertex: int, row: np.ndarray) -> None:
-        old = self._rows.pop(vertex, None)
-        if old is not None:
-            self._bytes -= old.nbytes
-        self._rows[vertex] = row
-        self._bytes += row.nbytes
-        self._drawn_vertices.add(vertex)
+        The one path every vertex view takes, in this order:
+
+        1. **charge** the vertices never drawn this epoch, ``epsilon``
+           each, through the accountant (mirrored into ``ledger`` under
+           the round label ``stage``) — *before* any draw, so a refused
+           charge (epoch allowance, ledger limit) leaves no stored view
+           for later queries to ride for free;
+        2. **draw** only the non-resident vertices
+           (:meth:`materialize_fresh`): a resident view is never redrawn,
+           so it is never re-released under fresh randomness, and an
+           evicted view of a bounded cache replays its keyed stream
+           without a charge;
+        3. **gather** every vertex's view into one block
+           (:meth:`gather_views`), counting the lookups as vertex
+           hits/misses. ``gather=False`` stops after the draw (the
+           server's warm pre-draw serves no query).
+
+        Raises
+        ------
+        BudgetExceededError
+            If the charge would push a vertex past its epoch allowance or
+            the ledger past its limit; nothing is drawn or stored then.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        missing = vertices[~self.vertex_cached_mask(vertices)]
+        charged = self.uncharged(missing)
+        party = self.accountant.charge_vertices(
+            self.layer, charged, self.epsilon,
+            "randomized-response", stage, ledger=ledger,
+        )
+        self.last_shard_draw = []
+        self.last_shard_faults = {}
+        upload_bytes = self.materialize_fresh(missing, rng)
+        views = None
+        if gather:
+            self.stats.vertex_hits += int(vertices.size - missing.size)
+            self.stats.vertex_misses += int(missing.size)
+            views = self.gather_views(vertices)
+        return ResolvedViews(
+            int(missing.size), charged, party, upload_bytes, views
+        )
 
     def materialize_fresh(self, vertices: np.ndarray, rng: RngLike = None) -> int:
-        """Draw and store noisy views for every listed (uncached) vertex.
+        """Draw and store a view for every listed vertex, resident or not.
 
-        Returns the number of column ids drawn — the upload size of the
-        (re-)released reports. Unbounded caches draw the whole block
-        through the vectorized bulk-RR pass using ``rng``; bounded caches
-        draw the block through the *keyed* vectorized pass (``rng`` is
-        ignored): every vertex's bits come from its own deterministic
-        ``(entropy, epoch, vertex)`` Philox stream, so a redraw of an
-        evicted vertex reproduces the original report bit for bit whether
-        it is drawn alone or inside any block. Evicted-vertex redraws are
-        counted in ``stats.recharges``.
+        Returns the upload bytes of the (re-)released views: noisy rows
+        in materialize mode, sketches in sketch-view mode. A plain cache
+        draws the whole block from ``rng`` (the vectorized bulk-RR pass,
+        or the sketch family's release); a keyed cache (bounded or
+        sharded) ignores ``rng`` and draws every vertex from its own
+        deterministic ``(entropy, epoch, vertex)`` Philox stream, so a
+        redraw of an evicted vertex reproduces the original view bit for
+        bit whether it is drawn alone or inside any block. Evicted-vertex
+        redraws are counted in ``stats.recharges``. Nothing is charged
+        here: serving paths go through :meth:`resolve_views`.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
@@ -369,83 +426,116 @@ class NoisyViewCache:
             self.stats.recharges += sum(
                 1 for v in vertices if int(v) in self._drawn_vertices
             )
-        if self.shard_runner is not None:
-            # Sharded draw: the miss block fans out over the runner's
-            # workers, each range from the same keyed streams — the
-            # reassembled rows are byte-identical to the unsharded keyed
-            # pass (and to any earlier draw of the same vertices).
-            shard_plan = plan_shards(
-                self.graph, self.layer, vertices, self.epsilon,
-                shards=(
-                    None
-                    if self.shard_mem_bytes is not None
-                    else self.shard_runner.max_workers
-                ),
-                mem_bytes=self.shard_mem_bytes,
+        if self.mode is ExecutionMode.SKETCH_VIEW:
+            stream = (
+                {
+                    "entropy": self._entropy,
+                    "epoch": self.draw_epoch,
+                    "versions": self._versions[vertices],
+                }
+                if self.keyed
+                else {"rng": ensure_rng(rng)}
             )
-            drawn = self.shard_runner.draw(
-                shard_plan, self.epsilon,
-                entropy=self._entropy, epoch=self.draw_epoch,
-                versions=self._versions[vertices],
+            block = self._family.encode_release(
+                self.graph, self.layer, vertices, self.epsilon, **stream
             )
-            self.last_shard_draw = drawn.shards
-            self.last_shard_faults = drawn.faults
-            indptr, columns = drawn.indptr, drawn.columns
-            # Remember which shard range each vertex last arrived in:
-            # bounded eviction drops whole ranges at once (see
-            # evict_to_budget), so co-drawn vertices leave together and
-            # their recharge comes back as one vectorized sharded draw.
-            for lo, hi in shard_plan.ranges():
-                self._shard_group_seq += 1
-                group = self._shard_group_seq
-                for v in vertices[lo:hi]:
-                    self._shard_group[int(v)] = group
-        elif not self.keyed:
-            indptr, columns = bulk_randomized_response(
-                self.graph, self.layer, vertices, self.epsilon, ensure_rng(rng)
-            )
+            views = list(block)
+            upload_bytes = int(block.nbytes)
         else:
-            indptr, columns = keyed_bulk_randomized_response(
+            indptr, columns = self._draw_rows(vertices, rng)
+            columns = np.asarray(columns, dtype=np.int64)
+            views = [
+                columns[lo:hi] for lo, hi in zip(indptr[:-1], indptr[1:])
+            ]
+            upload_bytes = int(columns.size) * ID_BYTES
+        for vertex, view in zip(vertices.tolist(), views):
+            # A copy, so evicting one view frees its own bytes.
+            self._store_view(vertex, np.array(view))
+        return upload_bytes
+
+    def _draw_rows(
+        self, vertices: np.ndarray, rng: RngLike
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One CSR block of noisy rows: shared, keyed or sharded draw."""
+        if self.shard_runner is None:
+            if not self.keyed:
+                return bulk_randomized_response(
+                    self.graph, self.layer, vertices, self.epsilon,
+                    ensure_rng(rng),
+                )
+            return keyed_bulk_randomized_response(
                 self.graph, self.layer, vertices, self.epsilon,
                 entropy=self._entropy, epoch=self.draw_epoch,
                 versions=self._versions[vertices],
             )
-        self.store_views(vertices, indptr, columns)
-        return int(columns.size)
-
-    def _draw_row(self, vertex: int) -> np.ndarray:
-        """Deterministic noisy row for ``(epoch, vertex)`` (bounded mode).
-
-        The solo form of the keyed pass — bit-identical to the same
-        vertex's row inside any :meth:`materialize_fresh` block.
-        """
-        _, columns = keyed_bulk_randomized_response(
-            self.graph,
-            self.layer,
-            np.array([vertex], dtype=np.int64),
-            self.epsilon,
-            entropy=self._entropy,
-            epoch=self.draw_epoch,
-            versions=self._versions[[vertex]],
+        # Sharded draw: the block fans out over the runner's workers, each
+        # range from the same keyed streams — the reassembled rows are
+        # byte-identical to the unsharded keyed pass (and to any earlier
+        # draw of the same vertices).
+        shard_plan = plan_shards(
+            self.graph, self.layer, vertices, self.epsilon,
+            shards=(
+                None
+                if self.shard_mem_bytes is not None
+                else self.shard_runner.max_workers
+            ),
+            mem_bytes=self.shard_mem_bytes,
         )
-        return np.asarray(columns, dtype=np.int64)
+        drawn = self.shard_runner.draw(
+            shard_plan, self.epsilon,
+            entropy=self._entropy, epoch=self.draw_epoch,
+            versions=self._versions[vertices],
+        )
+        self.last_shard_draw = drawn.shards
+        self.last_shard_faults = drawn.faults
+        # Remember which shard range each vertex last arrived in: bounded
+        # eviction drops whole ranges at once (see evict_to_budget), so
+        # co-drawn vertices leave together and their recharge comes back
+        # as one vectorized sharded draw.
+        for lo, hi in shard_plan.ranges():
+            self._shard_group_seq += 1
+            group = self._shard_group_seq
+            for v in vertices[lo:hi]:
+                self._shard_group[int(v)] = group
+        return drawn.indptr, drawn.columns
 
-    def gather_views(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stack the cached rows of ``vertices`` into one CSR block.
+    def _store_view(self, vertex: int, view: np.ndarray) -> None:
+        self._drop_view(vertex)
+        self._views[vertex] = view
+        self._bytes += view.nbytes
+        self._drawn_vertices.add(vertex)
 
-        Also the cache's read barrier: every gathered vertex counts one
-        touch (feeding the hottest-vertex snapshot) and moves to the
-        LRU tail.
+    def _drop_view(self, vertex: int) -> None:
+        """Forget a resident view and its packed mirror (the charge
+        memory stays)."""
+        for store in (self._views, self._packed):
+            dropped = store.pop(vertex, None)
+            if dropped is not None:
+                self._bytes -= dropped.nbytes
+
+    def gather_views(
+        self, vertices: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray] | np.ndarray":
+        """Stack the cached views of ``vertices`` into one block.
+
+        Rows come back as one CSR ``(indptr, columns)`` block, sketch
+        views as one ``(len(vertices), width)`` array. Also the cache's
+        read barrier: every gathered vertex counts one touch (feeding the
+        hottest-vertex snapshot) and moves to the LRU tail.
         """
-        rows = []
+        views = []
         for v in vertices:
             v = int(v)
             self._touches[v] += 1
-            self._rows.move_to_end(v)
-            rows.append(self._rows[v])
-        lengths = np.fromiter((r.size for r in rows), dtype=np.int64, count=len(rows))
+            self._views.move_to_end(v)
+            views.append(self._views[v])
+        if self.mode is ExecutionMode.SKETCH_VIEW:
+            return np.stack(views) if views else np.empty((0, 0))
+        lengths = np.fromiter(
+            (r.size for r in views), dtype=np.int64, count=len(views)
+        )
         columns = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+            np.concatenate(views) if views else np.empty(0, dtype=np.int64)
         )
         return lengths_to_indptr(lengths), columns
 
@@ -461,7 +551,7 @@ class NoisyViewCache:
             v = int(v)
             row = self._packed.get(v)
             if row is None:
-                row = pack_bitset_row(self._rows[v], self.domain)
+                row = pack_bitset_row(self._views[v], self.domain)
                 self._packed[v] = row
                 self._bytes += row.nbytes
             packed.append(row)
@@ -575,94 +665,6 @@ class NoisyViewCache:
             total += int(sizes.sum())
         return n1, n2, total
 
-    # ------------------------------------------------------------------
-    # Sketch-view mode: per-vertex fixed-size private sketches
-    # ------------------------------------------------------------------
-    def has_sketch_view(self, vertex: int) -> bool:
-        """True when ``vertex`` holds a resident sketch view this epoch."""
-        return int(vertex) in self._sketch_views
-
-    def sketch_view(self, vertex: int) -> np.ndarray:
-        """The cached released sketch view of one vertex.
-
-        Raises
-        ------
-        KeyError
-            If the vertex holds no resident sketch view (check
-            :meth:`has_sketch_view`).
-        """
-        return self._sketch_views[int(vertex)]
-
-    def sketch_view_cached_mask(self, vertices: np.ndarray) -> np.ndarray:
-        """Boolean per entry: does a resident sketch view already exist?"""
-        return np.fromiter(
-            (int(v) in self._sketch_views for v in vertices),
-            dtype=bool,
-            count=len(vertices),
-        )
-
-    def store_sketch_views(self, vertices: np.ndarray, views: np.ndarray) -> None:
-        """Adopt freshly released sketch views (rows aligned with vertices)."""
-        for i, vertex in enumerate(vertices):
-            vertex = int(vertex)
-            old = self._sketch_views.pop(vertex, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            row = np.ascontiguousarray(views[i])
-            self._sketch_views[vertex] = row
-            self._bytes += row.nbytes
-            self._drawn_vertices.add(vertex)
-
-    def sketch_view_fresh(self, vertices: np.ndarray, rng: RngLike = None) -> int:
-        """Release and store sketch views for every listed (uncached) vertex.
-
-        Returns the upload bytes of the (re-)released views. The same
-        determinism contract as :meth:`materialize_fresh`: keyed caches
-        (bounded or sharded) draw each vertex's blip/noise from its
-        deterministic ``(entropy, epoch, vertex)`` Philox stream — an
-        evicted view's redraw reproduces the original bits exactly
-        (counted in ``stats.recharges``) — while a plain unbounded cache
-        draws from ``rng`` (it never evicts, so reuse is by residency).
-        """
-        if self._family is None:
-            raise ProtocolError("cache was built without a sketch config")
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return 0
-        if self.bounded:
-            self.stats.recharges += sum(
-                1 for v in vertices if int(v) in self._drawn_vertices
-            )
-        if self.keyed:
-            views = self._family.encode_release(
-                self.graph, self.layer, vertices, self.epsilon,
-                entropy=self._entropy, epoch=self.draw_epoch,
-                versions=self._versions[vertices],
-            )
-        else:
-            views = self._family.encode_release(
-                self.graph, self.layer, vertices, self.epsilon,
-                rng=ensure_rng(rng),
-            )
-        self.store_sketch_views(vertices, views)
-        return int(views.nbytes)
-
-    def gather_sketch_views(self, vertices: np.ndarray) -> np.ndarray:
-        """Stack the cached sketch views of ``vertices`` into one block.
-
-        The sketch-view read barrier: every gathered vertex counts one
-        touch and moves to the LRU tail (mirrors :meth:`gather_views`).
-        """
-        rows = []
-        for v in vertices:
-            v = int(v)
-            self._touches[v] += 1
-            self._sketch_views.move_to_end(v)
-            rows.append(self._sketch_views[v])
-        if not rows:
-            return np.empty((0, 0))
-        return np.stack(rows)
-
     @staticmethod
     def _key(a: int, b: int) -> tuple[int, int]:
         a, b = int(a), int(b)
@@ -774,8 +776,9 @@ class NoisyViewCache:
     def nbytes(self) -> int:
         """Approximate resident payload bytes.
 
-        Counts every store the budget governs: noisy rows, their packed
-        bitset mirrors, sketch-mode pair draws, and noisy-degree entries
+        Counts every store the budget governs: vertex views (noisy rows
+        or sketches), the rows' packed bitset mirrors, sketch-mode pair
+        draws, and noisy-degree entries
         (``_DEGREE_ENTRY_BYTES`` each — degrees are part of the budget,
         not free riders).
         """
@@ -783,12 +786,7 @@ class NoisyViewCache:
 
     def entries(self) -> int:
         """Resident cache entries (vertex views, pair draws, and degrees)."""
-        return (
-            len(self._rows)
-            + len(self._pair_counts)
-            + len(self._sketch_views)
-            + len(self._degrees)
-        )
+        return len(self._views) + len(self._pair_counts) + len(self._degrees)
 
     def over_budget(self) -> bool:
         """True when either configured bound is currently exceeded."""
@@ -801,7 +799,7 @@ class NoisyViewCache:
     def evict_to_budget(self, pin: frozenset | set = frozenset()) -> int:
         """Evict least-recently-used entries until the budget fits.
 
-        ``pin`` names vertices (materialize) or pair keys (sketch) to
+        ``pin`` names vertices (vertex views) or pair keys (sketch) to
         skip — for callers that must keep part of the working set
         resident while trimming (the engine itself evicts at the end of
         each tick with nothing pinned). Degree entries are evicted LRU
@@ -827,12 +825,9 @@ class NoisyViewCache:
         pinned_vertices = {
             v for key in pin for v in (key if isinstance(key, tuple) else (key,))
         }
-        if self.mode is ExecutionMode.MATERIALIZE:
-            store = self._rows
-        elif self.mode is ExecutionMode.SKETCH_VIEW:
-            store = self._sketch_views
-        else:
-            store = self._pair_counts
+        store = (
+            self._pair_counts if self.mode is ExecutionMode.SKETCH else self._views
+        )
         while self.over_budget():
             self.stats.eviction_batches += 1
             victim = next(
@@ -846,31 +841,23 @@ class NoisyViewCache:
             victim = next((k for k in store if k not in pin), None)
             if victim is None:
                 break
-            if store is self._rows:
-                group = self._shard_group.get(victim)
-                batch = (
-                    [victim]
-                    if group is None
-                    else [
-                        v for v in store
-                        if v not in pin and self._shard_group.get(v) == group
-                    ]
-                )
-                for v in batch:
-                    row = store.pop(v)
-                    self._bytes -= row.nbytes
-                    packed = self._packed.pop(v, None)
-                    if packed is not None:
-                        self._bytes -= packed.nbytes
-                evicted += len(batch)
-                continue
-            if store is self._sketch_views:
-                view = store.pop(victim)
-                self._bytes -= view.nbytes
-            else:
+            if store is self._pair_counts:
                 store.pop(victim)
                 self._bytes -= _PAIR_ENTRY_BYTES
-            evicted += 1
+                evicted += 1
+                continue
+            group = self._shard_group.get(victim)
+            batch = (
+                [victim]
+                if group is None
+                else [
+                    v for v in store
+                    if v not in pin and self._shard_group.get(v) == group
+                ]
+            )
+            for v in batch:
+                self._drop_view(v)
+            evicted += len(batch)
         self.stats.evictions += evicted
         return evicted
 
@@ -917,11 +904,7 @@ class NoisyViewCache:
     def cached_vertices(self) -> int:
         """Vertices holding a view (materialize/sketch-view) or degree-only
         entries."""
-        if self._rows:
-            return len(self._rows)
-        if self._sketch_views:
-            return len(self._sketch_views)
-        return len(self._degrees)
+        return len(self._views) if self._views else len(self._degrees)
 
     def cached_pairs(self) -> int:
         """Resident sketch-mode pair entries."""
@@ -1030,10 +1013,9 @@ class NoisyViewCache:
         self._touches.clear()
         if pending is not None and not pending.is_net_empty:
             return self._rotate_incremental(pending)
-        self._rows.clear()
+        self._views.clear()
         self._packed.clear()
         self._pair_counts.clear()
-        self._sketch_views.clear()
         self._degrees.clear()
         self._drawn_vertices.clear()
         self._drawn_pairs.clear()
@@ -1053,15 +1035,7 @@ class NoisyViewCache:
         dirty_set = {int(v) for v in dirty}
         self._versions[dirty] += np.uint64(1)
         for v in dirty_set:
-            row = self._rows.pop(v, None)
-            if row is not None:
-                self._bytes -= row.nbytes
-            packed = self._packed.pop(v, None)
-            if packed is not None:
-                self._bytes -= packed.nbytes
-            view = self._sketch_views.pop(v, None)
-            if view is not None:
-                self._bytes -= view.nbytes
+            self._drop_view(v)
             if self._degrees.pop(v, None) is not None:
                 self._bytes -= _DEGREE_ENTRY_BYTES
         stale_pairs = [
@@ -1102,7 +1076,7 @@ class NoisyViewCache:
         return (
             f"NoisyViewCache(layer={self.layer.value}, mode={self.mode.value}, "
             f"epsilon={self.epsilon:g}, epoch={self.epoch}, "
-            f"views={len(self._rows)}, pairs={len(self._pair_counts)}, "
+            f"views={len(self._views)}, pairs={len(self._pair_counts)}, "
             f"bytes={self._bytes}"
             + (
                 f"/{self.max_bytes}" if self.max_bytes is not None else ""

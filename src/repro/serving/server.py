@@ -57,12 +57,7 @@ from repro.privacy.accountant import PrivacyLedger
 from repro.privacy.mechanisms import LaplaceMechanism
 from repro.privacy.rng import RngLike, ensure_rng
 from repro.privacy.sensitivity import degree_sensitivity
-from repro.protocol.messages import (
-    FLOAT_BYTES,
-    ID_BYTES,
-    CommunicationLog,
-    Direction,
-)
+from repro.protocol.messages import FLOAT_BYTES, CommunicationLog, Direction
 from repro.protocol.session import ExecutionMode, resolve_mode
 from repro.serving.cache import NoisyViewCache
 from repro.serving.tenants import TenantRegistry
@@ -172,10 +167,10 @@ class QueryServer:
         fires first rotates.
     warm_vertices:
         At every rotation, pre-draw (and charge) the closed epoch's this
-        many hottest vertices into the fresh epoch, so the first
-        post-rotation tick over the hot pool doesn't stampede into one
-        giant miss batch. Materialize and sketch-view modes only; ``0``
-        disables warming.
+        many hottest vertices into the fresh epoch — those without a
+        resident view — so the first post-rotation tick over the hot
+        pool doesn't stampede into one giant miss batch. Materialize and
+        sketch-view modes only; ``0`` disables warming.
     cache_bytes, cache_entries:
         Optional LRU budget for the noisy-view cache (see
         :class:`~repro.serving.cache.NoisyViewCache`): stores evict
@@ -370,9 +365,7 @@ class QueryServer:
         if epsilon_per_epoch == "auto":
             # Vertex-granular modes never exceed one release per vertex
             # per epoch; only pair-granular sketch mode recharges.
-            if cache.mode in (
-                ExecutionMode.MATERIALIZE, ExecutionMode.SKETCH_VIEW
-            ):
+            if cache.mode is not ExecutionMode.SKETCH:
                 epsilon_per_epoch = float(epsilon) + (degree_epsilon or 0.0)
             else:
                 epsilon_per_epoch = None
@@ -699,9 +692,12 @@ class QueryServer:
         the mutated snapshot is swapped in and only dirty vertices drop
         their views; clean vertices keep serving charge-free.
 
-        When ``warm_vertices > 0`` (materialize mode), the closed epoch's
-        hottest vertices are immediately re-drawn — and charged — into
-        the fresh epoch, server-funded: tenants see them as cache hits.
+        When ``warm_vertices > 0`` (materialize and sketch-view modes),
+        the closed epoch's hottest vertices that hold no resident view
+        are immediately drawn — and, when never drawn this epoch, charged
+        — into the fresh epoch, server-funded: tenants see them as cache
+        hits. A hot vertex that kept its view through an incremental
+        rotation is left alone: redrawing it would re-release it.
 
         Standing subscriptions touched by the rotation (all of them on a
         full rotation, dirty-endpoint ones on an incremental rotation)
@@ -716,8 +712,7 @@ class QueryServer:
         # shard runner, which stop() is about to free.
         if (
             self.warm_vertices
-            and self.mode
-            in (ExecutionMode.MATERIALIZE, ExecutionMode.SKETCH_VIEW)
+            and self.mode is not ExecutionMode.SKETCH
             and not self._closing
         ):
             self._prewarm(self.cache.hottest_last_epoch(self.warm_vertices))
@@ -773,24 +768,17 @@ class QueryServer:
             self.stats.subscription_refreshes += 1
 
     def _prewarm(self, hot: list[int]) -> None:
-        """Charge and pre-draw the given vertices into the fresh epoch."""
+        """Charge and pre-draw the given vertices' missing views."""
         if not hot:
             return
-        vertices = np.asarray(hot, dtype=np.int64)
-        self.accountant.charge_vertices(
-            self.layer, self.cache.uncharged(vertices), self.epsilon,
-            "randomized-response", "warm-rr", ledger=self.ledger,
+        warmed = self.cache.resolve_views(
+            np.asarray(hot, dtype=np.int64), self.rng,
+            ledger=self.ledger, stage="warm-rr", gather=False,
         )
-        if self.mode is ExecutionMode.SKETCH_VIEW:
-            drawn_bytes = self.cache.sketch_view_fresh(vertices, self.rng)
-        else:
-            drawn_bytes = (
-                self.cache.materialize_fresh(vertices, self.rng) * ID_BYTES
-            )
-        if drawn_bytes:
-            self.comm.record(Direction.UPLOAD, drawn_bytes, "serve:warm")
-        self.cache.stats.warm_draws += int(vertices.size)
-        self.stats.warmed_vertices += int(vertices.size)
+        if warmed.upload_bytes:
+            self.comm.record(Direction.UPLOAD, warmed.upload_bytes, "serve:warm")
+        self.cache.stats.warm_draws += warmed.drawn
+        self.stats.warmed_vertices += warmed.drawn
         self.cache.evict_to_budget()
 
     # ------------------------------------------------------------------
@@ -1028,16 +1016,11 @@ class QueryServer:
 
     def _pre_tick_hits(self, pairs: list[QueryPair]) -> list[bool]:
         """Per-caller hit flags, taken before the tick mutates the cache."""
-        if self.mode is ExecutionMode.MATERIALIZE:
-            return [
-                self.cache.has_view(p.a) and self.cache.has_view(p.b) for p in pairs
-            ]
-        if self.mode is ExecutionMode.SKETCH_VIEW:
-            return [
-                self.cache.has_sketch_view(p.a) and self.cache.has_sketch_view(p.b)
-                for p in pairs
-            ]
-        return [self.cache.has_pair(p.a, p.b) for p in pairs]
+        if self.mode is ExecutionMode.SKETCH:
+            return [self.cache.has_pair(p.a, p.b) for p in pairs]
+        return [
+            self.cache.has_view(p.a) and self.cache.has_view(p.b) for p in pairs
+        ]
 
     def _release_degrees(self, vertices: np.ndarray) -> dict[int, float] | None:
         """Epoch-cached noisy degrees for the tick's distinct vertices.

@@ -196,7 +196,8 @@ class TenantRegistry:
         ``queries`` is the tick's batch in arrival order, each entry a
         ``(pair, tenant_name)`` tag. The marginal cost of a query is the
         serving epsilon for every *fresh* vertex it is the first to need
-        this tick (pair-granular in sketch mode), plus ``degree_epsilon``
+        this tick — vertex-granular in materialize and sketch-view modes,
+        pair-granular only in sketch mode — plus ``degree_epsilon``
         for every fresh degree release — exactly the set the engine will
         charge, so the per-tenant debits sum to the tick's true spend.
         Queries whose tenant cannot pay are rejected (their cost falls to
@@ -224,15 +225,14 @@ class TenantRegistry:
             tenant = self.get(name)
             tenant.stats.queries += 1
             fresh_vertices: list[int] = []
-            if cache.mode is ExecutionMode.MATERIALIZE:
+            fresh_pair = None
+            if cache.mode is not ExecutionMode.SKETCH:
                 for v in (int(pair.a), int(pair.b)):
                     if v in covered_vertices or cache.vertex_charge_free(v):
                         continue
                     fresh_vertices.append(v)
-                fresh_pair = None
             else:
                 key = cache.pair_key(pair.a, pair.b)
-                fresh_pair = None
                 if key not in covered_pairs and not cache.pair_charge_free(
                     pair.a, pair.b
                 ):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.engine.sketches import HLL_EPSILON_FLOOR
 from repro.graph.bipartite import BipartiteGraph, Layer
 from repro.graph.generators import random_bipartite
 
@@ -34,6 +36,21 @@ def pytest_configure(config: pytest.Config) -> None:
         "timeout(seconds): per-test wall-clock limit, enforced when the "
         "pytest-timeout plugin is installed (CI); inert without it",
     )
+
+
+@pytest.fixture(scope="session")
+def expect_hll_floor():
+    """``expect_hll_floor(kind, epsilon)``: a context that asserts the HLL
+    stability-floor ``RuntimeWarning`` when ``kind`` (a sketch family or
+    a registry estimator name) is hll below the floor, and is a no-op
+    otherwise. Session-scoped, so hypothesis tests can use it too."""
+
+    def expect(kind: str, epsilon: float):
+        if kind in ("hll", "hll-view") and epsilon < HLL_EPSILON_FLOOR:
+            return pytest.warns(RuntimeWarning, match="stability floor")
+        return contextlib.nullcontext()
+
+    return expect
 
 
 @pytest.fixture()

@@ -225,11 +225,11 @@ class TestChaos:
             FAULT_PLAN_ENV: FaultPlan.poison_shards([1]).to_json()
         }
         chaos_proc, chaos_addr = launch_worker(chaos_env)
+        clean_proc, clean_addr = launch_worker()
         try:
             ref = draw_with(graph, plan, InlineTransport())
             # Shard 1 round-robins to handle index 1 of two workers, so
             # the poisoner must sit second in the registry.
-            _, clean_addr = launch_worker()
             transport = SocketTransport([clean_addr, chaos_addr])
             with ShardedRunner(
                 graph, Layer.UPPER, transport=transport
@@ -240,6 +240,7 @@ class TestChaos:
             assert draw.faults["payload_errors"] >= 1
         finally:
             stop_worker(chaos_proc)
+            stop_worker(clean_proc)
 
 
 # ----------------------------------------------------------------------

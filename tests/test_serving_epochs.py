@@ -156,3 +156,49 @@ def test_auto_epoch_rotation_by_ticks(workload):
     assert second.epoch == 1
     assert not second.cache_hit  # the rotation dropped the views
     assert server.accountant.max_lifetime_spent() == pytest.approx(2.0 * EPSILON)
+
+
+@pytest.mark.parametrize("cache_bytes", [None, 10**7], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize(
+    "views",
+    [
+        {"mode": ExecutionMode.MATERIALIZE},
+        {"mode": ExecutionMode.SKETCH_VIEW, "sketch_bits": 512},
+    ],
+    ids=["materialize", "sketch-view"],
+)
+def test_warm_predraw_keeps_clean_views_after_incremental_rotation(
+    workload, views, cache_bytes
+):
+    """An incremental rotation keeps clean views resident and charge-free;
+    the warm pre-draw must neither redraw them (on a plain cache that is
+    a fresh, uncharged release) nor count them as warmed."""
+    graph, _ = workload
+    hot = [0, 1, 2, 3]
+    outside = 40
+    lower = next(v for v in range(60) if not graph.has_edge(outside, v))
+
+    async def run():
+        async with QueryServer(
+            graph, Layer.UPPER, EPSILON, warm_vertices=len(hot),
+            cache_bytes=cache_bytes, rng=17, **views,
+        ) as server:
+            for i, a in enumerate(hot):
+                for b in hot[i + 1 :]:
+                    await server.query(a, b)
+            before = {v: server.cache.view(v).copy() for v in hot}
+            spent = {
+                v: server.accountant.lifetime_spent(Layer.UPPER, v) for v in hot
+            }
+            server.mutate(inserts=[(outside, lower)])
+            server.rotate_epoch()
+            return server, before, spent
+
+    server, before, spent = asyncio.run(run())
+    assert server.cache.last_rotation["incremental"]
+    assert sorted(server.cache.hottest_last_epoch(len(hot))) == hot
+    for v in hot:
+        np.testing.assert_array_equal(server.cache.view(v), before[v])
+        assert server.accountant.lifetime_spent(Layer.UPPER, v) == spent[v]
+    assert server.stats.warmed_vertices == 0
+    assert server.cache.stats.warm_draws == 0

@@ -20,6 +20,7 @@ from repro.errors import BudgetExceededError, PrivacyError, ProtocolError
 from repro.graph.bipartite import Layer
 from repro.graph.generators import random_bipartite
 from repro.graph.sampling import QueryPair
+from repro.privacy.accountant import PrivacyLedger
 from repro.privacy.composition import QueryBudgetManager
 from repro.protocol.session import ExecutionMode
 from repro.serving import QueryServer, TenantRegistry
@@ -325,3 +326,48 @@ def test_slice_by_tenant_partitions_plan(graph):
     np.testing.assert_array_equal(slices["b"].vertices, [1, 2])
     with pytest.raises(ProtocolError):
         slice_by_tenant(plan, ["a"])
+
+
+class _TallyLedger(PrivacyLedger):
+    """A ledger that also totals the vertex-epsilon it is charged."""
+
+    def __init__(self):
+        super().__init__()
+        self.vertex_epsilon = 0.0
+
+    def charge_parallel(
+        self, group, epsilon, mechanism="unknown", round_label="", *, count=1
+    ):
+        super().charge_parallel(group, epsilon, mechanism, round_label, count=count)
+        self.vertex_epsilon += count * epsilon
+
+
+@pytest.mark.parametrize(
+    "views",
+    [
+        {"mode": ExecutionMode.MATERIALIZE},
+        {"mode": ExecutionMode.SKETCH_VIEW, "sketch_bits": 512},
+    ],
+    ids=["materialize", "sketch-view"],
+)
+def test_vertex_views_meter_per_vertex_not_per_pair(graph, views):
+    """Overlapping pairs served one per tick: a vertex's view is paid for
+    once, so tenant debits = accountant lifetime total = ledger
+    vertex-epsilon in both vertex-view modes."""
+    registry = make_registry(100.0)
+    ledger = _TallyLedger()
+
+    async def script(server):
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            await server.query(a, b, tenant="t0")
+        return server.accountant, server.stats.ticks
+
+    accountant, ticks = serve(graph, registry, script, ledger=ledger, **views)
+    assert ticks == 3
+    total_charged = sum(
+        accountant.lifetime_spent(Layer.UPPER, v) for v in range(60)
+    )
+    metered = registry.get("t0").stats.epsilon_charged
+    assert total_charged == pytest.approx(3 * EPSILON)
+    assert metered == pytest.approx(total_charged)
+    assert ledger.vertex_epsilon == pytest.approx(total_charged)

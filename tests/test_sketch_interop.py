@@ -114,15 +114,18 @@ def test_plan_views_rejects_bad_budgets(workload):
 
 # ----------------------------------------------------------------- engine
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_engine_pure_sketch_view_is_seed_deterministic(workload, kind):
+def test_engine_pure_sketch_view_is_seed_deterministic(
+    workload, kind, expect_hll_floor
+):
     graph, pairs = workload
     engine = BatchQueryEngine(mode=ExecutionMode.SKETCH_VIEW, sketch=CONFIGS[kind])
-    runs = [
-        engine.estimate_pairs(
-            graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(99)
-        )
-        for _ in range(2)
-    ]
+    with expect_hll_floor(kind, EPS):
+        runs = [
+            engine.estimate_pairs(
+                graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(99)
+            )
+            for _ in range(2)
+        ]
     assert np.array_equal(runs[0].values, runs[1].values)
     planner = runs[0].details["planner"]
     assert planner["sketched_vertices"] == runs[0].num_query_vertices
@@ -131,22 +134,27 @@ def test_engine_pure_sketch_view_is_seed_deterministic(workload, kind):
 
 
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_engine_sketch_view_invariant_across_sharding(workload, kind):
+def test_engine_sketch_view_invariant_across_sharding(
+    workload, kind, expect_hll_floor
+):
     graph, pairs = workload
-    baseline = BatchQueryEngine(
-        mode=ExecutionMode.SKETCH_VIEW, sketch=CONFIGS[kind]
-    ).estimate_pairs(graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(5))
+    with expect_hll_floor(kind, EPS):
+        baseline = BatchQueryEngine(
+            mode=ExecutionMode.SKETCH_VIEW, sketch=CONFIGS[kind]
+        ).estimate_pairs(
+            graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(5)
+        )
     for shards in (2, 4):
         with BatchQueryEngine(
             mode=ExecutionMode.SKETCH_VIEW, sketch=CONFIGS[kind], shards=shards
-        ) as engine:
+        ) as engine, expect_hll_floor(kind, EPS):
             sharded = engine.estimate_pairs(
                 graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(5)
             )
         assert np.array_equal(baseline.values, sharded.values)
 
 
-def test_engine_hybrid_sketched_values_shard_invariant(workload):
+def test_engine_hybrid_sketched_values_shard_invariant(workload, expect_hll_floor):
     """Hybrid plans (mixed list/sketch) keep sketched pairs bit-identical
     whatever the listed block's shard count is."""
     graph, pairs = workload
@@ -155,7 +163,7 @@ def test_engine_hybrid_sketched_values_shard_invariant(workload):
     for shards in (None, 2, 4):
         with BatchQueryEngine(
             mode=ExecutionMode.MATERIALIZE, sketch=sketch, shards=shards
-        ) as engine:
+        ) as engine, expect_hll_floor(sketch.kind, EPS):
             results[shards] = engine.estimate_pairs(
                 graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(17)
             )
@@ -174,14 +182,17 @@ def test_engine_hybrid_sketched_values_shard_invariant(workload):
 
 
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_engine_budget_charge_matches_materialize_path(workload, kind):
+def test_engine_budget_charge_matches_materialize_path(
+    workload, kind, expect_hll_floor
+):
     """One ε-charge per distinct vertex — same parallel composition as the
     materialized engine round."""
     graph, pairs = workload
     engine = BatchQueryEngine(mode=ExecutionMode.SKETCH_VIEW, sketch=CONFIGS[kind])
-    res = engine.estimate_pairs(
-        graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(3)
-    )
+    with expect_hll_floor(kind, EPS):
+        res = engine.estimate_pairs(
+            graph, Layer.UPPER, pairs, EPS, rng=np.random.default_rng(3)
+        )
     assert res.max_epsilon_spent == pytest.approx(EPS)
     assert res.upload_bytes == (
         res.num_query_vertices * CONFIGS[kind].bytes_per_vertex
@@ -190,43 +201,48 @@ def test_engine_budget_charge_matches_materialize_path(workload, kind):
 
 # ------------------------------------------------------------------ cache
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_cache_eviction_redraw_is_bit_identical(small_graph, kind):
+def test_cache_eviction_redraw_is_bit_identical(small_graph, kind, expect_hll_floor):
     config = CONFIGS[kind]
-    cache = NoisyViewCache(
-        small_graph, Layer.UPPER, EPS,
-        mode=ExecutionMode.SKETCH_VIEW, sketch=config,
-        max_bytes=8 * config.bytes_per_vertex,
-        rng=np.random.default_rng(11),
-    )
+    with expect_hll_floor(kind, EPS):
+        cache = NoisyViewCache(
+            small_graph, Layer.UPPER, EPS,
+            mode=ExecutionMode.SKETCH_VIEW, sketch=config,
+            max_bytes=8 * config.bytes_per_vertex,
+            rng=np.random.default_rng(11),
+        )
     vertices = np.arange(20, dtype=np.int64)
-    cache.sketch_view_fresh(vertices)
-    first = cache.gather_sketch_views(vertices).copy()
+    with expect_hll_floor(kind, EPS):
+        cache.materialize_fresh(vertices)
+    first = cache.gather_views(vertices).copy()
     assert cache.evict_to_budget() > 0, "budget must actually evict views"
     # Touch everything again: evicted vertices redraw from the keyed
     # stream and must reproduce the identical released view.
-    cache.sketch_view_fresh(vertices)
-    again = cache.gather_sketch_views(vertices)
+    with expect_hll_floor(kind, EPS):
+        cache.materialize_fresh(vertices)
+    again = cache.gather_views(vertices)
     assert np.array_equal(first, again)
     assert cache.stats.recharges > 0
 
 
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_cached_serving_tick_charges_once(small_graph, kind):
+def test_cached_serving_tick_charges_once(small_graph, kind, expect_hll_floor):
     config = CONFIGS[kind]
-    cache = NoisyViewCache(
-        small_graph, Layer.UPPER, EPS,
-        mode=ExecutionMode.SKETCH_VIEW, sketch=config,
-        rng=np.random.default_rng(23),
-    )
+    with expect_hll_floor(kind, EPS):
+        cache = NoisyViewCache(
+            small_graph, Layer.UPPER, EPS,
+            mode=ExecutionMode.SKETCH_VIEW, sketch=config,
+            rng=np.random.default_rng(23),
+        )
     rng = np.random.default_rng(7)
     ia = rng.integers(0, 40, size=12)
     ib = (ia + 1 + rng.integers(0, 30, size=12)) % 40
     pairs = _pairs(Layer.UPPER, ia, ib)
     # An AUTO engine adopts the cache's mode and sketch config per tick.
     engine = BatchQueryEngine()
-    first = engine.estimate_pairs(
-        small_graph, Layer.UPPER, pairs, rng=np.random.default_rng(1), cache=cache
-    )
+    with expect_hll_floor(kind, EPS):
+        first = engine.estimate_pairs(
+            small_graph, Layer.UPPER, pairs, rng=np.random.default_rng(1), cache=cache
+        )
     assert first.details["cache"]["charged_vertices"] > 0
     second = engine.estimate_pairs(
         small_graph, Layer.UPPER, pairs, rng=np.random.default_rng(2), cache=cache
@@ -235,9 +251,10 @@ def test_cached_serving_tick_charges_once(small_graph, kind):
     assert np.array_equal(first.values, second.values)
     rotated = cache.rotate()
     assert rotated >= 0
-    third = engine.estimate_pairs(
-        small_graph, Layer.UPPER, pairs, rng=np.random.default_rng(3), cache=cache
-    )
+    with expect_hll_floor(kind, EPS):
+        third = engine.estimate_pairs(
+            small_graph, Layer.UPPER, pairs, rng=np.random.default_rng(3), cache=cache
+        )
     assert third.details["cache"]["charged_vertices"] > 0
 
 

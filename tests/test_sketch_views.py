@@ -100,13 +100,14 @@ def test_shared_hash_seed_makes_encodes_align(tiny_graph):
 
 # ---------------------------------------------------------------- release
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_release_shapes_and_dtypes(small_graph, kind):
+def test_release_shapes_and_dtypes(small_graph, kind, expect_hll_floor):
     config = SketchConfig(kind, 64)
     family = sketch_family(config)
     vertices = np.arange(6, dtype=np.int64)
-    views = family.encode_release(
-        small_graph, Layer.UPPER, vertices, EPS, rng=np.random.default_rng(0)
-    )
+    with expect_hll_floor(kind, EPS):
+        views = family.encode_release(
+            small_graph, Layer.UPPER, vertices, EPS, rng=np.random.default_rng(0)
+        )
     assert views.shape[0] == 6
     assert views.shape[1] * views.dtype.itemsize == config.bytes_per_vertex
     if kind == "hll":
@@ -114,39 +115,43 @@ def test_release_shapes_and_dtypes(small_graph, kind):
 
 
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_keyed_release_is_deterministic_and_epoch_scoped(small_graph, kind):
+def test_keyed_release_is_deterministic_and_epoch_scoped(
+    small_graph, kind, expect_hll_floor
+):
     family = sketch_family(SketchConfig(kind, 64))
     vertices = np.arange(8, dtype=np.int64)
-    one = family.encode_release(
-        small_graph, Layer.UPPER, vertices, EPS, entropy=42, epoch=0
-    )
-    two = family.encode_release(
-        small_graph, Layer.UPPER, vertices, EPS, entropy=42, epoch=0
-    )
-    other_epoch = family.encode_release(
-        small_graph, Layer.UPPER, vertices, EPS, entropy=42, epoch=1
-    )
-    other_entropy = family.encode_release(
-        small_graph, Layer.UPPER, vertices, EPS, entropy=43, epoch=0
-    )
+    with expect_hll_floor(kind, EPS):
+        one = family.encode_release(
+            small_graph, Layer.UPPER, vertices, EPS, entropy=42, epoch=0
+        )
+        two = family.encode_release(
+            small_graph, Layer.UPPER, vertices, EPS, entropy=42, epoch=0
+        )
+        other_epoch = family.encode_release(
+            small_graph, Layer.UPPER, vertices, EPS, entropy=42, epoch=1
+        )
+        other_entropy = family.encode_release(
+            small_graph, Layer.UPPER, vertices, EPS, entropy=43, epoch=0
+        )
     assert np.array_equal(one, two)
     assert not np.array_equal(one, other_epoch)
     assert not np.array_equal(one, other_entropy)
 
 
 @pytest.mark.parametrize("kind", SKETCH_KINDS)
-def test_keyed_release_rows_are_vertex_keyed(small_graph, kind):
+def test_keyed_release_rows_are_vertex_keyed(small_graph, kind, expect_hll_floor):
     """Releasing a subset reproduces exactly the full batch's rows — the
     property that makes cache redraw and sharding bit-identical."""
     family = sketch_family(SketchConfig(kind, 64))
-    full = family.encode_release(
-        small_graph, Layer.UPPER, np.arange(10, dtype=np.int64), EPS,
-        entropy=7, epoch=0,
-    )
     subset = np.array([2, 5, 9], dtype=np.int64)
-    part = family.encode_release(
-        small_graph, Layer.UPPER, subset, EPS, entropy=7, epoch=0
-    )
+    with expect_hll_floor(kind, EPS):
+        full = family.encode_release(
+            small_graph, Layer.UPPER, np.arange(10, dtype=np.int64), EPS,
+            entropy=7, epoch=0,
+        )
+        part = family.encode_release(
+            small_graph, Layer.UPPER, subset, EPS, entropy=7, epoch=0
+        )
     assert np.array_equal(part, full[subset])
 
 

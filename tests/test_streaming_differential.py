@@ -232,22 +232,22 @@ class TestSketchViewDifferential:
             rng=np.random.default_rng(24),
         )
         def refill(c):
-            c.sketch_view_fresh(
+            c.materialize_fresh(
                 np.array(
-                    [v for v in range(N_UPPER) if not c.has_sketch_view(v)],
+                    [v for v in range(N_UPPER) if not c.has_view(v)],
                     dtype=np.int64,
                 )
             )
 
-        cache.sketch_view_fresh(verts)
-        before = {int(v): cache.sketch_view(v).copy() for v in verts}
+        cache.materialize_fresh(verts)
+        before = {int(v): cache.view(v).copy() for v in verts}
         dirty_sets, all_incremental = _run_script(cache, script, refill)
 
         missing = np.array(
-            [v for v in range(N_UPPER) if not cache.has_sketch_view(v)],
+            [v for v in range(N_UPPER) if not cache.has_view(v)],
             dtype=np.int64,
         )
-        cache.sketch_view_fresh(missing)
+        cache.materialize_fresh(missing)
         family = sketch_family(config)
         ref = family.encode_release(
             cache.graph, Layer.UPPER, verts, EPSILON,
@@ -255,13 +255,13 @@ class TestSketchViewDifferential:
             versions=cache._versions[verts],
         )
         for i, v in enumerate(verts):
-            np.testing.assert_array_equal(cache.sketch_view(v), ref[i])
+            np.testing.assert_array_equal(cache.view(v), ref[i])
         if all_incremental:
             ever_dirty = set().union(*dirty_sets)
             for v in range(N_UPPER):
                 if v not in ever_dirty:
                     np.testing.assert_array_equal(
-                        cache.sketch_view(v), before[v]
+                        cache.view(v), before[v]
                     )
 
 
