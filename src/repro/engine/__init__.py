@@ -34,7 +34,7 @@ from repro.engine.pairwise import (
     HAVE_SCIPY,
     choose_backend,
     debias_pair_counts,
-    pack_bitset_row,
+    pack_bitset_rows,
     pairwise_intersections,
 )
 from repro.engine.planner import (
@@ -112,7 +112,7 @@ __all__ = [
     "plan_workload",
     "sketch_family",
     "workload_party",
-    "pack_bitset_row",
+    "pack_bitset_rows",
     "bernoulli_hits",
     "bulk_randomized_response",
     "keyed_bulk_randomized_response",

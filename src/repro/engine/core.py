@@ -593,16 +593,14 @@ class BatchQueryEngine:
                 n2 = np.full(plan.num_pairs, -1, dtype=np.int64)
                 backend = "sketch-view"
             else:
-                indptr, columns = resolved.views
-                sizes = np.diff(indptr)
-                backend = choose_backend(plan.num_vertices, plan.num_pairs, domain)
-                packed = (
-                    cache.packed_matrix(plan.vertices)
-                    if backend == "bitset"
-                    else None
-                )
+                # Cached views are packed bit rows: report sizes are row
+                # popcounts and N1 comes straight off the gathered block,
+                # with no CSR block or dense scratch to build.
+                packed = resolved.views
+                sizes = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+                backend = "bitset"
                 n1 = pairwise_intersections(
-                    indptr, columns, plan.ia, plan.ib, domain,
+                    None, None, plan.ia, plan.ib, domain,
                     backend=backend, packed=packed,
                 )
                 n2 = sizes[plan.ia] + sizes[plan.ib] - n1

@@ -31,7 +31,7 @@ __all__ = [
     "PRODUCT_MAX_ROWS",
     "BITSET_MAX_CELLS",
     "choose_backend",
-    "pack_bitset_row",
+    "pack_bitset_rows",
     "pairwise_intersections",
     "debias_pair_counts",
 ]
@@ -94,21 +94,27 @@ def choose_backend(rows: int, num_pairs: int, domain: int) -> str:
     return "merge"
 
 
-def pack_bitset_row(columns: np.ndarray, domain: int) -> np.ndarray:
-    """One sorted neighbor list packed into the bitset backend's row format.
+def pack_bitset_rows(
+    indptr: np.ndarray, columns: np.ndarray, domain: int
+) -> np.ndarray:
+    """A CSR block of sorted neighbor lists as packed bit rows.
 
-    The epoch cache pre-packs each vertex's noisy row once so repeated
-    serving ticks can hand the bitset backend its ``packed`` block without
-    re-scattering a dense boolean matrix per tick.
+    Row ``i`` becomes ``ceil(domain / 8)`` bytes in :func:`numpy.packbits`
+    order (bit ``c`` set iff column ``c`` is listed), the bitset
+    backend's row format. The epoch cache holds every materialize view in
+    this form, so serving ticks hand the bitset backend its ``packed``
+    block without re-scattering. Scratch is one ``rows x domain`` boolean
+    matrix; callers bound it by packing in row chunks.
     """
-    row = np.zeros(max(int(domain), 1), dtype=bool)
-    row[np.asarray(columns, dtype=np.int64)] = True
-    return np.packbits(row)
+    rows = indptr.size - 1
+    dense = np.zeros((rows, max(int(domain), 1)), dtype=bool)
+    dense[np.repeat(np.arange(rows), np.diff(indptr)), columns] = True
+    return np.packbits(dense, axis=1)
 
 
 def pairwise_intersections(
-    indptr: np.ndarray,
-    columns: np.ndarray,
+    indptr: np.ndarray | None,
+    columns: np.ndarray | None,
     ia: np.ndarray,
     ib: np.ndarray,
     domain: int,
@@ -121,9 +127,10 @@ def pairwise_intersections(
     Rows are the (sorted) CSR neighbor lists; ``ia``/``ib`` hold row
     indices. ``backend=None`` picks via :func:`choose_backend`; all
     backends return identical counts. ``packed`` optionally supplies the
-    bitset backend's pre-packed row matrix (one :func:`pack_bitset_row`
-    per CSR row) so callers holding cached masks skip the packing pass;
-    the other backends ignore it.
+    bitset backend's packed row matrix (:func:`pack_bitset_rows` of the
+    CSR block) so callers holding packed rows skip the packing pass; the
+    other backends ignore it. With ``packed`` and ``backend="bitset"``
+    the CSR block may be omitted (``indptr = columns = None``).
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
@@ -143,15 +150,12 @@ def pairwise_intersections(
 
 
 def _bitset_intersections(indptr, columns, ia, ib, domain, packed=None) -> np.ndarray:
-    rows = indptr.size - 1
     if packed is None:
-        dense = np.zeros((rows, max(int(domain), 1)), dtype=bool)
-        dense[np.repeat(np.arange(rows), np.diff(indptr)), columns] = True
-        packed = np.packbits(dense, axis=1)
-        del dense
-    elif packed.shape[0] != rows:
+        packed = pack_bitset_rows(indptr, columns, domain)
+    elif indptr is not None and packed.shape[0] != indptr.size - 1:
         raise ValueError(
-            f"precomputed mask has {packed.shape[0]} rows, workload has {rows}"
+            f"precomputed mask has {packed.shape[0]} rows, workload has "
+            f"{indptr.size - 1}"
         )
     out = np.empty(ia.size, dtype=np.int64)
     for start in range(0, ia.size, _BITSET_PAIR_BLOCK):

@@ -39,6 +39,7 @@ same bytes. ``docs/distributed-guide.md`` is the contract document.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import socket
@@ -64,6 +65,11 @@ from repro.errors import PayloadIntegrityError, ProtocolError
 from repro.graph.bipartite import BipartiteGraph, Layer
 from repro.protocol import wire
 
+try:  # POSIX shared memory; the fork transport exists only where it does.
+    from _posixshmem import shm_unlink as _shm_unlink
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    _shm_unlink = None
+
 __all__ = [
     "ShardSpec",
     "ShardResult",
@@ -88,6 +94,13 @@ __all__ = [
 # :meth:`SocketTransport._install`.)
 _WORKER_CONTEXTS: dict[int, tuple[BipartiteGraph, Layer]] = {}
 _NEXT_TOKEN = 0
+
+# Fork-transport segment names are unique per process: one process-wide
+# sequence, so two transports never issue the same name, under a random
+# per-process tag, so a segment leaked by an earlier process with the
+# same pid never shadows one of ours.
+_SEGMENT_SEQ = itertools.count(1)
+_SEGMENT_TAG = os.urandom(3).hex()
 
 # Keyed-stream domain tag for retry-backoff jitter ("BACK"): the jitter
 # that decorrelates retry stampedes must itself be deterministic per
@@ -439,6 +452,33 @@ def _fork_run_spec(token: int, spec: ShardSpec, shm_name: str | None) -> tuple:
     )
 
 
+def _unlink_segment(name: str) -> bool:
+    """Unlink the named segment; False when it does not exist.
+
+    Attaching maps the segment, and an empty one cannot be mapped: a
+    worker terminated between ``shm_open`` and ``ftruncate`` leaves a
+    0-byte segment that ``SharedMemory(name=...)`` refuses with
+    ``ValueError``. No resource tracker knows such a segment (the worker
+    registers only after mapping it), so it is unlinked by name.
+    """
+    try:
+        block = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    except ValueError:
+        try:
+            _shm_unlink("/" + name)
+        except FileNotFoundError:  # pragma: no cover - raced another sweep
+            return False
+        return True
+    block.close()
+    try:
+        block.unlink()
+    except FileNotFoundError:  # pragma: no cover - raced another sweep
+        pass
+    return True
+
+
 def _sweep_segments(names: set[str], *, drop_missing: bool) -> int:
     """Unlink every registered segment that exists; return the count.
 
@@ -449,24 +489,30 @@ def _sweep_segments(names: set[str], *, drop_missing: bool) -> int:
     """
     reclaimed = 0
     for name in list(names):
-        try:
-            block = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            if drop_missing:
-                names.discard(name)
+        if _unlink_segment(name):
+            reclaimed += 1
+        elif not drop_missing:
             continue
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced another sweep
-            pass
         names.discard(name)
-        reclaimed += 1
     return reclaimed
 
 
-def _join_pool(pool: ProcessPoolExecutor, grace_s: float | None = None) -> None:
-    """Join a pool's workers under a bounded grace, then force the rest.
+def _retire_pool(pool: ProcessPoolExecutor) -> list:
+    """Shut a pool down without waiting; return its worker processes.
+
+    The list is taken first because ``shutdown()`` drops the executor's
+    process map while the workers may still be running a task.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # pragma: no cover - broken pools may object
+        pass
+    return procs
+
+
+def _join_processes(procs: list, grace_s: float | None = None) -> None:
+    """Join workers under a bounded grace, then force the rest.
 
     Healthy workers drain and exit within the grace; a permanently
     wedged one — the stall ``timeout_s`` exists to defend against — is
@@ -475,11 +521,6 @@ def _join_pool(pool: ProcessPoolExecutor, grace_s: float | None = None) -> None:
     """
     if grace_s is None:
         grace_s = _JOIN_GRACE_S
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - broken pools may object
-        pass
     deadline = time.monotonic() + grace_s
     for proc in procs:
         proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -508,10 +549,10 @@ def _release_fork(
     """
     pool = pool_box[0]
     if pool is not None:
-        _join_pool(pool)
+        _join_processes(_retire_pool(pool))
         pool_box[0] = None
-    for old_pool, _names in retired:
-        _join_pool(old_pool)
+    for procs, _names in retired:
+        _join_processes(procs)
     retired.clear()
     _WORKER_CONTEXTS.pop(token, None)
     _sweep_segments(segments, drop_missing=True)
@@ -547,14 +588,13 @@ class ForkTransport(ShardTransport):
         # The pool lives in a one-slot box so the GC finalizer can free
         # it without holding a reference to the transport itself; pools
         # torn down after a fault are parked in `_retired` as
-        # `(pool, names)` — the segment names their zombie workers might
-        # still create — reaped once every worker has exited, and
-        # force-joined (bounded) at close time. `_segments` holds every
-        # parent-issued shm name not yet unlinked.
+        # `(workers, names)` — their worker processes and the segment
+        # names those zombies might still create — reaped once every
+        # worker has exited, and force-joined (bounded) at close time.
+        # `_segments` holds every parent-issued shm name not yet unlinked.
         self._pool_box: list = [None]
         self._retired: list = []
         self._segments: set[str] = set()
-        self._seq = 0
         # (shard, attempt) -> segment name for specs in flight this round.
         self._names: dict[tuple[int, int], str] = {}
         self._finalizer = weakref.finalize(
@@ -583,7 +623,7 @@ class ForkTransport(ShardTransport):
         if prev is not None:
             pool = self._pool_box[0]
             if pool is not None:
-                _join_pool(pool)
+                _join_processes(_retire_pool(pool))
                 self._pool_box[0] = None
         _WORKER_CONTEXTS[self._token] = (graph, layer)
         self._graph, self._layer = graph, layer
@@ -617,8 +657,8 @@ class ForkTransport(ShardTransport):
         Including the attempt keeps a retry's segment distinct from one
         a delayed zombie dispatch of the same shard may create later.
         """
-        self._seq += 1
-        name = f"repro_{os.getpid():x}_{self._seq:x}_{shard}_{attempt}"
+        seq = next(_SEGMENT_SEQ)
+        name = f"repro_{os.getpid():x}_{_SEGMENT_TAG}_{seq:x}_{shard}_{attempt}"
         self._segments.add(name)
         return name
 
@@ -707,11 +747,7 @@ class ForkTransport(ShardTransport):
         pool = self._pool_box[0]
         if pool is not None:
             self._pool_box[0] = None
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken pools may object
-                pass
-            self._retired.append((pool, zombie_names))
+            self._retired.append((_retire_pool(pool), zombie_names))
         reclaimed = _sweep_segments(self._segments, drop_missing=False)
         reclaimed += self.reap()
         return reclaimed
@@ -732,10 +768,9 @@ class ForkTransport(ShardTransport):
         """
         reclaimed = 0
         survivors = []
-        for pool, names in self._retired:
-            procs = list((getattr(pool, "_processes", None) or {}).values())
+        for procs, names in self._retired:
             if any(proc.is_alive() for proc in procs):
-                survivors.append((pool, names))
+                survivors.append((procs, names))
                 continue
             doomed = names & self._segments
             reclaimed += _sweep_segments(doomed, drop_missing=True)

@@ -9,12 +9,16 @@ store keyed by the serving layer's fixed ``(graph, layer, epsilon,
 mode)``:
 
 * **Materialize and sketch-view modes** cache one *vertex view* per
-  vertex: its noisy neighbor list (and, lazily, its packed bitset row)
-  or its fixed-size released sketch, in one resident store. Every view
-  takes one path, :meth:`NoisyViewCache.resolve_views`: charge the
-  vertices not yet drawn this epoch, draw only the non-resident ones,
-  gather. Every later query touching a cached vertex in the same epoch
-  reuses the identical draw, bit for bit.
+  vertex: its noisy neighbor list as one packed bit row
+  (``ceil(domain / 8)`` bytes, bit ``c`` set iff column ``c`` was
+  reported) or its fixed-size released sketch, in one resident store.
+  OneR reads a report only through popcounts (its size and its
+  intersection with another report), so the bit row carries all of it
+  and a tick gathers the rows as the bitset backend's packed block.
+  Every view takes one path, :meth:`NoisyViewCache.resolve_views`:
+  charge the vertices not yet drawn this epoch, draw only the
+  non-resident ones, gather. Every later query touching a cached vertex
+  in the same epoch reuses the identical draw, bit for bit.
 * **Sketch mode** never materializes lists, so per-vertex reuse has no
   state to reuse; the cache is pair-granular instead: a repeated pair is
   served from its cached ``(N1, N2)`` draw for free, while a *new* pair
@@ -71,9 +75,8 @@ from repro.engine.bulkrr import (
     keyed_bulk_randomized_response,
     keyed_laplace_noise,
     keyed_pair_generator,
-    lengths_to_indptr,
 )
-from repro.engine.pairwise import pack_bitset_row
+from repro.engine.pairwise import pack_bitset_rows
 from repro.engine.planner import plan_shards
 from repro.engine.sharded import ShardedRunner
 from repro.engine.transport import ShardTransport
@@ -97,6 +100,11 @@ _PAIR_ENTRY_BYTES = 32
 # Bookkeeping cost of one noisy-degree entry: the vertex key and the
 # released float, as two 8-byte words.
 _DEGREE_ENTRY_BYTES = 16
+# Expected noisy payload (8-byte ids) per fill chunk: a materialize fill
+# draws (keyed) or packs (shared, sharded) this much at a time, which
+# bounds the draw's and the packer's scratch instead of scaling it with
+# the miss block.
+_FILL_CHUNK_BYTES = 2 << 20
 
 
 @dataclass
@@ -132,9 +140,10 @@ class ResolvedViews:
     charged: np.ndarray  # vertices charged: never drawn this epoch
     party: str | None  # the accountant's ledger party (None: nothing charged)
     upload_bytes: int  # bytes of the (re-)released views
-    # The gathered block — CSR ``(indptr, columns)`` rows in materialize
-    # mode, one stacked array in sketch-view mode; None when not gathered.
-    views: "tuple[np.ndarray, np.ndarray] | np.ndarray | None"
+    # The gathered ``(len(vertices), width)`` block — packed bit rows in
+    # materialize mode, sketches in sketch-view mode; None when not
+    # gathered.
+    views: np.ndarray | None
 
 
 class NoisyViewCache:
@@ -289,7 +298,6 @@ class NoisyViewCache:
         # Resident vertex views in LRU order: noisy rows (materialize) or
         # fixed-size released sketches (sketch-view), one store either way.
         self._views: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._packed: dict[int, np.ndarray] = {}
         self._pair_counts: OrderedDict[tuple[int, int], tuple[int, int]] = (
             OrderedDict()
         )
@@ -321,15 +329,20 @@ class NoisyViewCache:
         return int(vertex) in self._views
 
     def view(self, vertex: int) -> np.ndarray:
-        """The cached view: a noisy neighbor list (sorted column ids) in
-        materialize mode, the released sketch in sketch-view mode.
+        """The cached view: a noisy neighbor list (sorted int64 column
+        ids, unpacked from the resident bit row) in materialize mode, the
+        released sketch in sketch-view mode.
 
         Raises
         ------
         KeyError
             If the vertex holds no resident view (check :meth:`has_view`).
         """
-        return self._views[int(vertex)]
+        view = self._views[int(vertex)]
+        if self.mode is ExecutionMode.SKETCH_VIEW:
+            return view
+        bits = np.unpackbits(view, count=self.domain)
+        return np.flatnonzero(bits).astype(np.int64, copy=False)
 
     def vertex_cached_mask(self, vertices: np.ndarray) -> np.ndarray:
         """Boolean per entry: does a resident epoch view already exist?"""
@@ -409,15 +422,17 @@ class NoisyViewCache:
         """Draw and store a view for every listed vertex, resident or not.
 
         Returns the upload bytes of the (re-)released views: noisy rows
-        in materialize mode, sketches in sketch-view mode. A plain cache
-        draws the whole block from ``rng`` (the vectorized bulk-RR pass,
-        or the sketch family's release); a keyed cache (bounded or
-        sharded) ignores ``rng`` and draws every vertex from its own
-        deterministic ``(entropy, epoch, vertex)`` Philox stream, so a
-        redraw of an evicted vertex reproduces the original view bit for
-        bit whether it is drawn alone or inside any block. Evicted-vertex
-        redraws are counted in ``stats.recharges``. Nothing is charged
-        here: serving paths go through :meth:`resolve_views`.
+        (8-byte ids each) in materialize mode, sketches in sketch-view
+        mode. A plain cache draws the whole block from ``rng`` (the
+        vectorized bulk-RR pass, or the sketch family's release); a keyed
+        cache (bounded or sharded) ignores ``rng`` and draws every vertex
+        from its own deterministic ``(entropy, epoch, vertex)`` Philox
+        stream, so a redraw of an evicted vertex reproduces the original
+        view bit for bit whether it is drawn alone or inside any block.
+        Noisy rows are packed into bit rows chunk by chunk as they land
+        (see :meth:`_draw_rows`). Evicted-vertex redraws are counted in
+        ``stats.recharges``. Nothing is charged here: serving paths go
+        through :meth:`resolve_views`.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
@@ -439,39 +454,59 @@ class NoisyViewCache:
             block = self._family.encode_release(
                 self.graph, self.layer, vertices, self.epsilon, **stream
             )
-            views = list(block)
-            upload_bytes = int(block.nbytes)
-        else:
-            indptr, columns = self._draw_rows(vertices, rng)
-            columns = np.asarray(columns, dtype=np.int64)
-            views = [
-                columns[lo:hi] for lo, hi in zip(indptr[:-1], indptr[1:])
-            ]
-            upload_bytes = int(columns.size) * ID_BYTES
-        for vertex, view in zip(vertices.tolist(), views):
-            # A copy, so evicting one view frees its own bytes.
-            self._store_view(vertex, np.array(view))
-        return upload_bytes
+            for vertex, view in zip(vertices.tolist(), block):
+                # A copy, so evicting one view frees its own bytes.
+                self._store_view(vertex, np.array(view))
+            return int(block.nbytes)
+        ids = 0
+        for lo, hi, indptr, columns in self._draw_rows(vertices, rng):
+            rows = pack_bitset_rows(indptr, columns, self.domain)
+            for vertex, row in zip(vertices[lo:hi].tolist(), rows):
+                self._store_view(vertex, row.copy())
+            ids += int(columns.size)
+        return ids * ID_BYTES
 
-    def _draw_rows(
-        self, vertices: np.ndarray, rng: RngLike
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One CSR block of noisy rows: shared, keyed or sharded draw."""
-        if self.shard_runner is None:
-            if not self.keyed:
-                return bulk_randomized_response(
-                    self.graph, self.layer, vertices, self.epsilon,
-                    ensure_rng(rng),
+    def _draw_rows(self, vertices: np.ndarray, rng: RngLike):
+        """Noisy rows of ``vertices`` as ``(lo, hi, indptr, columns)`` CSR
+        chunks covering ``vertices[lo:hi]``, each of about
+        :data:`_FILL_CHUNK_BYTES` expected payload.
+
+        A keyed unsharded cache draws chunk by chunk: keyed bits are per
+        vertex, so the chunks are byte-identical to one block draw. A
+        plain cache keeps one shared-stream draw (chunking it would move
+        the bits) and a sharded cache one fanned draw; their rows are
+        then sliced into the same chunks for packing.
+        """
+        chunks = plan_shards(
+            self.graph, self.layer, vertices, self.epsilon,
+            mem_bytes=_FILL_CHUNK_BYTES,
+        ).ranges()
+        if self.keyed and self.shard_runner is None:
+            for lo, hi in chunks:
+                block = vertices[lo:hi]
+                yield lo, hi, *keyed_bulk_randomized_response(
+                    self.graph, self.layer, block, self.epsilon,
+                    entropy=self._entropy, epoch=self.draw_epoch,
+                    versions=self._versions[block],
                 )
-            return keyed_bulk_randomized_response(
+            return
+        if self.shard_runner is None:
+            indptr, columns = bulk_randomized_response(
                 self.graph, self.layer, vertices, self.epsilon,
-                entropy=self._entropy, epoch=self.draw_epoch,
-                versions=self._versions[vertices],
+                ensure_rng(rng),
             )
-        # Sharded draw: the block fans out over the runner's workers, each
-        # range from the same keyed streams — the reassembled rows are
-        # byte-identical to the unsharded keyed pass (and to any earlier
-        # draw of the same vertices).
+        else:
+            indptr, columns = self._draw_sharded(vertices)
+        for lo, hi in chunks:
+            start, stop = indptr[lo], indptr[hi]
+            yield lo, hi, indptr[lo : hi + 1] - start, columns[start:stop]
+
+    def _draw_sharded(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One CSR block of noisy rows fanned over the shard runner."""
+        # The block fans out over the runner's workers, each range from
+        # the same keyed streams — the reassembled rows are byte-identical
+        # to the unsharded keyed pass (and to any earlier draw of the same
+        # vertices).
         shard_plan = plan_shards(
             self.graph, self.layer, vertices, self.epsilon,
             shards=(
@@ -506,22 +541,20 @@ class NoisyViewCache:
         self._drawn_vertices.add(vertex)
 
     def _drop_view(self, vertex: int) -> None:
-        """Forget a resident view and its packed mirror (the charge
-        memory stays)."""
-        for store in (self._views, self._packed):
-            dropped = store.pop(vertex, None)
-            if dropped is not None:
-                self._bytes -= dropped.nbytes
+        """Forget a resident view (the charge memory stays)."""
+        dropped = self._views.pop(vertex, None)
+        if dropped is not None:
+            self._bytes -= dropped.nbytes
 
-    def gather_views(
-        self, vertices: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray] | np.ndarray":
-        """Stack the cached views of ``vertices`` into one block.
+    def gather_views(self, vertices: np.ndarray) -> np.ndarray:
+        """Stack the cached views of ``vertices`` into one
+        ``(len(vertices), width)`` block: packed bit rows in materialize
+        mode (the bitset backend's ``packed`` block), sketches in
+        sketch-view mode.
 
-        Rows come back as one CSR ``(indptr, columns)`` block, sketch
-        views as one ``(len(vertices), width)`` array. Also the cache's
-        read barrier: every gathered vertex counts one touch (feeding the
-        hottest-vertex snapshot) and moves to the LRU tail.
+        Also the cache's read barrier: every gathered vertex counts one
+        touch (feeding the hottest-vertex snapshot) and moves to the LRU
+        tail.
         """
         views = []
         for v in vertices:
@@ -529,33 +562,19 @@ class NoisyViewCache:
             self._touches[v] += 1
             self._views.move_to_end(v)
             views.append(self._views[v])
-        if self.mode is ExecutionMode.SKETCH_VIEW:
-            return np.stack(views) if views else np.empty((0, 0))
-        lengths = np.fromiter(
-            (r.size for r in views), dtype=np.int64, count=len(views)
-        )
-        columns = (
-            np.concatenate(views) if views else np.empty(0, dtype=np.int64)
-        )
-        return lengths_to_indptr(lengths), columns
+        return np.stack(views) if views else np.empty((0, 0), dtype=np.uint8)
 
     def packed_matrix(self, vertices: np.ndarray) -> np.ndarray:
-        """The bitset backend's pre-packed row block for ``vertices``.
+        """The resident packed bit rows of ``vertices`` (materialize
+        mode), stacked like :meth:`gather_views` but without touching the
+        LRU order or the warm-set counts.
 
-        Rows are packed once per vertex per epoch and reused by every
-        later tick (the ``packed=`` fast path of
-        :func:`~repro.engine.pairwise.pairwise_intersections`).
+        Raises
+        ------
+        KeyError
+            If a vertex holds no resident view.
         """
-        packed = []
-        for v in vertices:
-            v = int(v)
-            row = self._packed.get(v)
-            if row is None:
-                row = pack_bitset_row(self._views[v], self.domain)
-                self._packed[v] = row
-                self._bytes += row.nbytes
-            packed.append(row)
-        return np.vstack(packed)
+        return np.stack([self._views[int(v)] for v in vertices])
 
     # ------------------------------------------------------------------
     # Sketch mode: per-pair sufficient statistics
@@ -776,9 +795,10 @@ class NoisyViewCache:
     def nbytes(self) -> int:
         """Approximate resident payload bytes.
 
-        Counts every store the budget governs: vertex views (noisy rows
-        or sketches), the rows' packed bitset mirrors, sketch-mode pair
-        draws, and noisy-degree entries
+        Counts every store the budget governs: vertex views (a packed
+        bit row of ``ceil(domain / 8)`` bytes per materialize view, the
+        sketch's bytes per sketch view), sketch-mode pair draws
+        (``_PAIR_ENTRY_BYTES`` each), and noisy-degree entries
         (``_DEGREE_ENTRY_BYTES`` each — degrees are part of the budget,
         not free riders).
         """
@@ -1014,7 +1034,6 @@ class NoisyViewCache:
         if pending is not None and not pending.is_net_empty:
             return self._rotate_incremental(pending)
         self._views.clear()
-        self._packed.clear()
         self._pair_counts.clear()
         self._degrees.clear()
         self._drawn_vertices.clear()

@@ -22,6 +22,7 @@ from repro.engine.core import BatchQueryEngine
 from repro.engine.faults import FAULT_PLAN_ENV, FaultAction, FaultPlan
 from repro.engine.planner import plan_shards
 from repro.engine.sharded import ShardedRunner, fork_available
+from repro.engine.transport import ForkTransport
 from repro.errors import PrivacyError, ProtocolError
 from repro.graph.bipartite import Layer
 from repro.graph.generators import random_bipartite
@@ -70,6 +71,26 @@ def shm_residue() -> list[str]:
     """Runner-created segments currently visible in /dev/shm."""
     prefix = f"/dev/shm/repro_{os.getpid():x}_"
     return glob.glob(prefix + "*")
+
+
+def plant_empty_segment(name: str) -> None:
+    """Create the 0-byte segment a worker terminated between ``shm_open``
+    and ``ftruncate`` leaves behind."""
+    import _posixshmem
+
+    fd = _posixshmem.shm_open(
+        "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+    )
+    os.close(fd)
+
+
+def remove_segment(name: str) -> None:
+    import _posixshmem
+
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -332,6 +353,72 @@ def test_recurring_faults_do_not_grow_the_segment_registry(graph, plan):
             time.sleep(0.05)
         assert not runner._segments
         assert not runner._retired
+    assert not shm_residue()
+
+
+@needs_fork
+def test_empty_segment_is_swept_and_counted():
+    """Regression: a 0-byte segment cannot be mapped, so the sweep used to
+    raise ``ValueError`` on it, abort, and leak it. It is unlinked by
+    name instead."""
+    name = f"repro_{os.getpid():x}_empty_0_0"
+    transport = ForkTransport(max_workers=2)
+    plant_empty_segment(name)
+    try:
+        transport._segments.add(name)
+        assert transport.sweep() == 1
+        assert not transport._segments
+        assert not os.path.exists(f"/dev/shm/{name}")
+    finally:
+        remove_segment(name)
+        transport.close()
+
+
+@needs_fork
+def test_leaked_segment_does_not_shadow_a_new_runner(graph, plan):
+    """Regression: segment names restarted at 1 in every transport, so a
+    segment leaked under an earlier runner's first name made the next
+    runner's worker fail with ``FileExistsError`` (booked as a worker
+    death). Names are unique per process now."""
+    planted = f"repro_{os.getpid():x}_1_0_0"
+    plant_empty_segment(planted)
+    try:
+        with ShardedRunner(
+            graph, Layer.UPPER,
+            max_workers=2, timeout_s=30.0, max_retries=2, backoff_base_s=0.01,
+        ) as runner:
+            with FaultPlan.poison_shards([0]).active():
+                drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+            assert drawn.faults["payload_errors"] == 1
+            assert drawn.faults["worker_deaths"] == 0
+        assert not runner._segments
+        assert shm_residue() == [f"/dev/shm/{planted}"]
+    finally:
+        remove_segment(planted)
+
+
+@needs_fork
+def test_retired_pool_tracks_its_zombie_until_close(graph, plan, reference):
+    """Regression: ``shutdown()`` empties the executor's process map, so a
+    retired pool looked dead at once, the name its stalled worker would
+    still create left the registry, and close() joined nobody — the
+    segment appeared after close. The workers are kept with the pool."""
+    ref_indptr, ref_columns = reference
+    with ShardedRunner(
+        graph, Layer.UPPER,
+        max_workers=2, timeout_s=0.3, max_retries=1, backoff_base_s=0.0,
+    ) as runner:
+        with FaultPlan.delay_shards([0], 3.0).active():
+            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert drawn.faults["timeouts"] >= 1
+        assert np.array_equal(drawn.columns, ref_columns)
+        # The stalled worker is still asleep: its pool and the name it
+        # will write are both still tracked.
+        assert runner._retired
+        assert runner._segments
+    # close() joined the zombie (it wrote its segment) and swept.
+    assert not runner._retired
+    assert not runner._segments
     assert not shm_residue()
 
 
