@@ -10,11 +10,17 @@ for *all* workload vertices in one array-level pass:
    its Bernoulli(1-p) keep decision from a single ``rng.random`` draw over
    the concatenated CSR rows.
 2. **Single complement pass** — the flipped zeros of *all* vertices are
-   one Bernoulli(p) point process over the concatenated complement cells,
-   generated by exact geometric gaps (inverse transform), then mapped back
-   to column ids with one global ``searchsorted``. No rejection, no
-   dedup: the gap representation yields distinct, per-vertex-sorted
-   positions by construction, in work proportional to the output.
+   one Bernoulli(p) point process over the block's complement cells read
+   row-major as one tape, generated by exact geometric gaps (inverse
+   transform). No rejection, no dedup: the gap representation yields
+   distinct, sorted tape indices by construction, in work proportional
+   to the output.
+3. **Tape to cells** — with the block's true edges at the sorted flat
+   cells ``c_j = row_j * domain + col_j``, tape index ``h`` is flat cell
+   ``h + #{j : c_j - j <= h}``; :func:`_assemble_noisy_rows` evaluates
+   that count for every hit at once (each of the few keys ``c_j - j``
+   finds its slot among the many sorted hits) and merges the flips with
+   the kept true cells into sorted CSR rows.
 
 The output is distribution-identical to the per-vertex loop: per vertex,
 each true edge survives independently with probability ``1 - p``, each
@@ -144,94 +150,71 @@ def bernoulli_hits(
     while position < total_cells:
         expect = (total_cells - position) * p
         size = int(expect + 6.0 * math.sqrt(expect) + 16.0)
-        raw = np.floor(np.log1p(-rng.random(size)) / log1mp)
+        raw = rng.random(size)
+        np.negative(raw, out=raw)
+        np.log1p(raw, out=raw)
+        raw /= log1mp
+        np.floor(raw, out=raw)
         # A gap beyond the remaining tape ends the process regardless of
         # its exact value; clipping keeps the float -> int64 cast safe for
         # minuscule p (huge geometric draws).
-        gaps = np.minimum(raw, float(total_cells)).astype(np.int64) + 1
-        hits = position + np.cumsum(gaps)
+        np.minimum(raw, float(total_cells), out=raw)
+        hits = raw.astype(np.int64)
+        hits += 1
+        np.cumsum(hits, out=hits)
+        hits += position
         if hits[-1] < total_cells:  # margin exhausted: keep all, draw again
             parts.append(hits)
             position = int(hits[-1])
         else:
-            parts.append(hits[hits < total_cells])
+            parts.append(hits[: np.searchsorted(hits, total_cells)])
             break
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _positions_to_columns(
-    exclude_cols: np.ndarray,
-    exclude_indptr: np.ndarray,
-    positions: np.ndarray,
-    seg_of_position: np.ndarray,
-    domain: int,
-) -> np.ndarray:
-    """Map per-segment complement ranks to column ids, all segments at once.
-
-    Per segment the ``x``-th non-excluded column is ``x + #{j : e[j] - j <= x}``
-    (see :func:`repro.privacy.mechanisms.complement_positions_to_indices`);
-    offsetting both sides by ``segment * (domain + 1)`` turns the per-segment
-    rank lookup into one global pass on already-sorted keys. ``positions``
-    must be per-segment sorted with ``seg_of_position`` nondecreasing (both
-    callers produce them that way): instead of one binary search per
-    position into the excluded keys, each *excluded* key binary-searches
-    its slot among the (far more numerous, sorted) positions and the
-    per-position "how many excluded ≤ me" falls out of one bincount+cumsum.
-    """
-    if positions.size == 0:
-        return positions
-    k = exclude_indptr.size - 1
-    d = np.diff(exclude_indptr)
-    local = np.arange(exclude_cols.size, dtype=np.int64) - np.repeat(
-        exclude_indptr[:-1], d
-    )
-    shifted = exclude_cols - local
-    stride = domain + 1
-    seg_e = np.repeat(np.arange(k, dtype=np.int64), d)
-    queries = seg_of_position * stride + positions
-    ins = np.searchsorted(queries, seg_e * stride + shifted, side="left")
-    # "#excluded keys <= me" per query is a step function jumping +1 at
-    # every insertion slot: one repeat over the run lengths.
-    runs = np.diff(np.concatenate(([0], ins, [queries.size])))
-    below = np.repeat(np.arange(ins.size + 1, dtype=np.int64), runs)
-    return positions + (below - exclude_indptr[seg_of_position])
-
-
 def _assemble_noisy_rows(
-    k: int,
     domain: int,
-    deg: np.ndarray,
+    seg_indptr: np.ndarray,
     true_cols: np.ndarray,
     keep: np.ndarray,
-    flip_seg: np.ndarray,
-    flip_cols: np.ndarray,
+    tape: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge kept true edges and flipped zeros into sorted CSR rows.
+    """Sorted CSR rows of a block's kept true edges plus its flipped cells.
 
-    The two streams are per-segment sorted with disjoint keys, so each
-    kept element's final slot is its own rank plus the count of flips
-    sorting before it; the flips then fill every remaining slot in order
-    (one boolean scatter instead of a second global ``searchsorted``).
+    Cell ``r * domain + c`` of the ``k x domain`` block is column ``c`` of
+    row ``r``; the true edges sit at the sorted flat cells ``c_j``, and
+    ``tape`` holds the sorted indices of the flips along the block's
+    complement cells read row-major (``k * domain - nnz`` of them). Tape
+    index ``h`` is flat cell ``h + #{j : c_j - j <= h}`` — the identity of
+    :func:`repro.privacy.mechanisms.complement_positions_to_indices`, true
+    block-wide because row ``r``'s keys ``c_j - j`` all fall inside row
+    ``r``'s stretch of the tape. The keys are few and the tape hits many,
+    so each key finds its slot among the hits and the per-hit counts are
+    one run-length ``repeat``. The same slot counts the flips sorting
+    before true cell ``j``, which places every kept cell in the merged
+    stream; the flips fill the remaining slots in order, the row bounds
+    take ``k + 1`` searches and a column is its cell mod ``domain``.
     """
-    seg_ids = np.repeat(np.arange(k, dtype=np.int64), deg)
-    kept_seg = seg_ids[keep]
-    kept_cols = true_cols[keep]
-    total = kept_cols.size + flip_cols.size
-    columns = np.empty(total, dtype=np.int64)
-    if kept_cols.size == 0:
-        columns[:] = flip_cols
-    else:
-        kept_keys = kept_seg * domain + kept_cols
-        flip_keys = flip_seg * domain + flip_cols
-        at_kept = np.arange(kept_keys.size) + np.searchsorted(flip_keys, kept_keys)
-        remaining = np.ones(total, dtype=bool)
-        remaining[at_kept] = False
-        columns[at_kept] = kept_cols
-        columns[remaining] = flip_cols
-    row_counts = np.bincount(kept_seg, minlength=k) + np.bincount(
-        flip_seg, minlength=k
+    starts = np.arange(seg_indptr.size, dtype=np.int64) * domain
+    true_cells = np.repeat(starts[:-1], np.diff(seg_indptr))
+    true_cells += true_cols
+    keys = true_cells - np.arange(true_cells.size, dtype=np.int64)
+    before = np.searchsorted(tape, keys)  # flips sorting before c_j
+    flips = np.repeat(
+        np.arange(keys.size + 1, dtype=np.int64),
+        np.diff(before, prepend=0, append=tape.size),
     )
-    return lengths_to_indptr(row_counts), columns
+    flips += tape
+    kept_at = before[keep]
+    kept_at += np.arange(kept_at.size)
+    cells = np.empty(kept_at.size + flips.size, dtype=np.int64)
+    is_flip = np.ones(cells.size, dtype=bool)
+    is_flip[kept_at] = False
+    cells[kept_at] = true_cells[keep]
+    cells[is_flip] = flips
+    indptr = np.searchsorted(cells, starts)
+    np.remainder(cells, domain, out=cells)
+    return indptr, cells
 
 
 def _workload_rows(
@@ -265,7 +248,7 @@ def bulk_randomized_response(
     rng = ensure_rng(rng)
     rr = RandomizedResponse(epsilon)
     p = rr.flip_probability
-    k, domain, seg_indptr, true_cols, deg = _workload_rows(graph, layer, vertices)
+    k, domain, seg_indptr, true_cols, _ = _workload_rows(graph, layer, vertices)
     if k == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
     if domain == 0:
@@ -275,14 +258,9 @@ def bulk_randomized_response(
     keep = rng.random(true_cols.size) >= p
 
     # (2) single complement pass: one Bernoulli(p) point process over the
-    # concatenated non-neighbor cells of all vertices
-    cell_indptr = lengths_to_indptr(domain - deg)
-    hits = bernoulli_hits(int(cell_indptr[-1]), p, rng)
-    flip_seg = np.searchsorted(cell_indptr, hits, side="right") - 1
-    flip_cols = _positions_to_columns(
-        true_cols, seg_indptr, hits - cell_indptr[flip_seg], flip_seg, domain
-    )
-    return _assemble_noisy_rows(k, domain, deg, true_cols, keep, flip_seg, flip_cols)
+    # block's non-neighbor cells, read row-major as one tape
+    tape = bernoulli_hits(k * domain - true_cols.size, p, rng)
+    return _assemble_noisy_rows(domain, seg_indptr, true_cols, keep, tape)
 
 
 # ----------------------------------------------------------------------
@@ -689,15 +667,13 @@ def keyed_bulk_randomized_response(
         )
         >= p
     )
-    flip_slot, flip_pos = _keyed_complement_hits(
+    flip_slot, tape = _keyed_complement_hits(
         key, vertices, epoch, domain - deg, p, versions
     )
-    flip_cols = _positions_to_columns(
-        true_cols, seg_indptr, flip_pos, flip_slot, domain
-    )
-    return _assemble_noisy_rows(
-        k, domain, deg, true_cols, keep, flip_slot, flip_cols
-    )
+    # per-slot ranks -> block tape indices: slot r's stretch of the tape
+    # starts at r * domain - seg_indptr[r]
+    tape += lengths_to_indptr(domain - deg)[flip_slot]
+    return _assemble_noisy_rows(domain, seg_indptr, true_cols, keep, tape)
 
 
 def shard_bulk_randomized_response(

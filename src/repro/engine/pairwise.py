@@ -104,12 +104,21 @@ def pack_bitset_rows(
     backend's row format. The epoch cache holds every materialize view in
     this form, so serving ticks hand the bitset backend its ``packed``
     block without re-scattering. Scratch is one ``rows x domain`` boolean
-    matrix; callers bound it by packing in row chunks.
+    block set by one flat scatter at ``row * domain + column`` (callers
+    bound it by packing in row chunks), so a column outside ``[0,
+    domain)`` raises ``IndexError`` rather than set another row's bit.
     """
     rows = indptr.size - 1
-    dense = np.zeros((rows, max(int(domain), 1)), dtype=bool)
-    dense[np.repeat(np.arange(rows), np.diff(indptr)), columns] = True
-    return np.packbits(dense, axis=1)
+    width = max(int(domain), 1)
+    columns = np.asarray(columns, dtype=np.int64)
+    # Negative ids wrap to huge unsigned values: one max checks both ends.
+    if columns.size and columns.view(np.uint64).max() >= domain:
+        raise IndexError(f"bit-row column out of range [0, {domain})")
+    flat = np.repeat(np.arange(rows, dtype=np.int64) * width, np.diff(indptr))
+    flat += columns
+    dense = np.zeros(rows * width, dtype=bool)
+    dense[flat] = True
+    return np.packbits(dense.reshape(rows, width), axis=1)
 
 
 def pairwise_intersections(
@@ -125,17 +134,22 @@ def pairwise_intersections(
     """``|row(ia[j]) ∩ row(ib[j])|`` for every query pair ``j``.
 
     Rows are the (sorted) CSR neighbor lists; ``ia``/``ib`` hold row
-    indices. ``backend=None`` picks via :func:`choose_backend`; all
-    backends return identical counts. ``packed`` optionally supplies the
-    bitset backend's packed row matrix (:func:`pack_bitset_rows` of the
-    CSR block) so callers holding packed rows skip the packing pass; the
-    other backends ignore it. With ``packed`` and ``backend="bitset"``
-    the CSR block may be omitted (``indptr = columns = None``).
+    indices; all backends return identical counts. ``packed`` optionally
+    supplies the bitset backend's packed row matrix (:func:`pack_bitset_rows`
+    of the CSR block) so callers holding packed rows skip the packing
+    pass; the CSR block may then be omitted (``indptr = columns = None``),
+    and ``backend=None`` counts on it. Otherwise ``backend=None`` picks
+    via :func:`choose_backend`; ``"sparse"`` and ``"merge"`` without the
+    CSR block raise ``ValueError``.
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
     if backend is None:
-        backend = choose_backend(indptr.size - 1, ia.size, domain)
+        backend = "bitset" if packed is not None else choose_backend(
+            indptr.size - 1, ia.size, domain
+        )
+    if backend in ("sparse", "merge") and (indptr is None or columns is None):
+        raise ValueError(f"the {backend} backend needs the CSR block (indptr, columns)")
     if backend == "bitset":
         if not HAVE_BITWISE_COUNT:
             raise RuntimeError("the bitset backend needs numpy.bitwise_count (NumPy >= 2.0)")
@@ -160,8 +174,10 @@ def _bitset_intersections(indptr, columns, ia, ib, domain, packed=None) -> np.nd
     out = np.empty(ia.size, dtype=np.int64)
     for start in range(0, ia.size, _BITSET_PAIR_BLOCK):
         stop = min(start + _BITSET_PAIR_BLOCK, ia.size)
-        both = packed[ia[start:stop]] & packed[ib[start:stop]]
-        out[start:stop] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+        both = packed[ia[start:stop]]
+        np.bitwise_and(both, packed[ib[start:stop]], out=both)
+        np.bitwise_count(both, out=both)
+        out[start:stop] = both.sum(axis=1, dtype=np.uint32)
     return out
 
 

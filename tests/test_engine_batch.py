@@ -16,6 +16,7 @@ from repro.engine import (
     BatchQueryEngine,
     bernoulli_hits,
     bulk_randomized_response,
+    pack_bitset_rows,
     pairwise_intersections,
     plan_workload,
 )
@@ -204,6 +205,39 @@ class TestPairwiseBackends:
                 indptr, cols, np.array([0]), np.array([1]), 5, backend=backend
             )
             assert got.tolist() == [0]
+
+    def test_packer_rejects_negative_columns(self):
+        # A negative column must not wrap to the row's last bit.
+        with pytest.raises(IndexError, match="out of range"):
+            pack_bitset_rows(np.array([0, 1]), np.array([-1]), 16)
+
+    @pytest.mark.parametrize("indptr", [[0, 1], [0, 1, 1]])
+    def test_packer_rejects_columns_past_the_domain(self, indptr):
+        # With a second row, column == domain would be its bit 0.
+        with pytest.raises(IndexError):
+            pack_bitset_rows(np.array(indptr), np.array([16]), 16)
+
+    def test_packed_rows_count_without_csr_block(self, csr_and_pairs, graph):
+        indptr, cols, plan = csr_and_pairs
+        domain = graph.num_lower
+        packed = pack_bitset_rows(indptr, cols, domain)
+        expected = pairwise_intersections(
+            indptr, cols, plan.ia, plan.ib, domain, backend="merge"
+        )
+        got = pairwise_intersections(
+            None, None, plan.ia, plan.ib, domain, packed=packed
+        )
+        assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("backend", ["sparse", "merge"])
+    def test_csr_backend_without_csr_block_names_it(self, csr_and_pairs, graph, backend):
+        indptr, cols, plan = csr_and_pairs
+        packed = pack_bitset_rows(indptr, cols, graph.num_lower)
+        with pytest.raises(ValueError, match="CSR block"):
+            pairwise_intersections(
+                None, None, plan.ia, plan.ib, graph.num_lower,
+                backend=backend, packed=packed,
+            )
 
 
 class TestEngineInterface:
