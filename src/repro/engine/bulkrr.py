@@ -453,41 +453,41 @@ def _keyed_complement_hits(
     tape: np.ndarray,
     p: float,
     versions: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-id Bernoulli(p) hit positions from each id's keyed flip stream.
+) -> np.ndarray:
+    """Bernoulli(p) hits on a block tape, each id's from its keyed flip stream.
 
     The keyed analogue of :func:`bernoulli_hits` run over every id at
-    once: id ``i`` walks its private tape of ``tape[i]`` complement cells
-    by geometric gaps whose uniforms come from its own counter blocks
-    (``[1 + b, KEYED_STAGE_FLIP, ids[i], epoch]``); the flip stage reads
-    each block's 4 words as 8 *32-bit* uniforms (high half first), which
-    halves the Philox work per gap. Gap rounds use the same ``6 sigma +
-    16`` margin as the shared path, so almost every id finishes in its
-    first round; ids whose margin ran out draw further blocks in later
-    rounds. Per id, the draw schedule depends only on its own stream and
-    ``(tape[i], p)`` — a solo call replays the batched consumption
-    exactly. Batches are processed in cache-sized id groups (grouping
-    cannot change any id's stream, only the iteration order).
+    once: id ``i`` walks its private stretch of ``tape[i]`` complement
+    cells by geometric gaps whose uniforms come from its own counter
+    blocks (``[1 + b, KEYED_STAGE_FLIP, ids[i], epoch]``); the flip stage
+    reads each block's 4 words as 8 *32-bit* uniforms (high half first),
+    which halves the Philox work per gap. Gap rounds use the same ``6
+    sigma + 16`` margin as the shared path, so almost every id finishes
+    in its first round; ids whose margin ran out draw further blocks in
+    later rounds. Per id, the draw schedule depends only on its own
+    stream and ``(tape[i], p)`` — a solo call replays the batched
+    consumption exactly. Batches are processed in cache-sized id groups
+    (grouping cannot change any id's stream, only the iteration order).
 
-    Returns ``(slots, positions)`` sorted by ``(slot, position)`` where
-    ``slots`` indexes into ``ids``.
+    Returns the sorted *block* tape indices of every hit: the stretches
+    lie end to end, id ``i``'s starting at ``tape[:i].sum()``.
     """
     k = ids.size
-    out_slots: list[np.ndarray] = []
-    out_pos: list[np.ndarray] = []
+    out: list[np.ndarray] = []
     if k == 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     log1mp = math.log1p(-p)
     tape = np.asarray(tape, dtype=np.int64)
-    position = np.full(k, -1, dtype=np.int64)
+    end = np.cumsum(tape)  # each id's stretch is [end - tape, end)
+    position = end - tape - 1  # block tape index of the id's last hit
     next_block = np.ones(k, dtype=np.int64)  # counter word 0 starts at 1
     active = np.flatnonzero(tape > 0)
     ids64 = ids.astype(np.uint64)
     word3 = None if versions is None else pack_version_epoch(epoch, versions)
     rounds = 0
     while active.size:
-        t_act = tape[active]
-        expect = (t_act - position[active]) * p
+        e_act = end[active]
+        expect = (e_act - position[active]) * p
         blocks = (
             (expect + 6.0 * np.sqrt(expect) + 16.0).astype(np.int64)
             + (_FLIP_PER_BLOCK - 1)
@@ -530,19 +530,19 @@ def _keyed_complement_hits(
             u[0::2] = (words >> _SH32) * _U32
             u[1::2] = (words & _MASK32) * _U32
 
-            # Geometric gaps, kept in float64. Clipping each gap at its
-            # own tape (as bernoulli_hits does) guards the minuscule-p
-            # log blowups without changing output — a clipped gap still
-            # overshoots its tape — and is batch-independent, since the
-            # bound is the id's own tape. It also keeps every running sum
-            # an exact float64 integer (group totals stay ~words * tape,
-            # far below 2^53 for any graph that fits in memory).
+            # Geometric gaps, kept in float64. Clipping each gap at the
+            # group's longest stretch guards the minuscule-p log blowups
+            # without changing output — a gap that long overshoots its
+            # own stretch either way, and so does every later hit of the
+            # id. It also keeps every running sum an exact float64
+            # integer (group totals stay ~words * tape and block tape
+            # indices ~rows * domain, far below 2^53 for any graph that
+            # fits in memory).
             lengths = gb * _FLIP_PER_BLOCK
-            t_rep = np.repeat(t_act[g0:g1].astype(np.float64), lengths)
             gaps = np.log1p(-u, out=u)
             gaps /= log1mp
             np.floor(gaps, out=gaps)
-            np.minimum(gaps, t_rep, out=gaps)
+            np.minimum(gaps, float(tape[act].max()), out=gaps)
             gaps += 1.0
             running = np.cumsum(gaps)
             indptr = lengths_to_indptr(lengths)
@@ -551,23 +551,20 @@ def _keyed_complement_hits(
             )
             hits = running
             hits -= np.repeat(offset, lengths)
-            valid = hits < t_rep
-            out_slots.append(act.repeat(lengths)[valid])
-            out_pos.append(hits[valid].astype(np.int64))
+            valid = hits < np.repeat(end[act].astype(np.float64), lengths)
+            out.append(hits[valid].astype(np.int64))
 
             last = hits[indptr[1:] - 1]
-            open_ = last < t_act[g0:g1]
+            open_ = last < e_act[g0:g1]
             position[act[open_]] = last[open_].astype(np.int64)
             unfinished[g0:g1] = open_
         next_block[active] += blocks
         active = active[unfinished]
         rounds += 1
-    slots = np.concatenate(out_slots) if out_slots else np.empty(0, np.int64)
-    pos = np.concatenate(out_pos) if out_pos else np.empty(0, np.int64)
-    if rounds > 1 and slots.size:
-        order = np.lexsort((pos, slots))
-        slots, pos = slots[order], pos[order]
-    return slots, pos
+    hits = np.concatenate(out) if out else np.empty(0, np.int64)
+    if rounds > 1:  # a later round's hits follow every earlier round's
+        hits.sort()
+    return hits
 
 
 def keyed_bulk_randomized_response(
@@ -667,12 +664,7 @@ def keyed_bulk_randomized_response(
         )
         >= p
     )
-    flip_slot, tape = _keyed_complement_hits(
-        key, vertices, epoch, domain - deg, p, versions
-    )
-    # per-slot ranks -> block tape indices: slot r's stretch of the tape
-    # starts at r * domain - seg_indptr[r]
-    tape += lengths_to_indptr(domain - deg)[flip_slot]
+    tape = _keyed_complement_hits(key, vertices, epoch, domain - deg, p, versions)
     return _assemble_noisy_rows(domain, seg_indptr, true_cols, keep, tape)
 
 

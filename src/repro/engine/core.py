@@ -27,6 +27,7 @@ from repro.engine.bulkrr import bulk_randomized_response
 from repro.engine.pairwise import (
     choose_backend,
     debias_pair_counts,
+    pair_id_total,
     pairwise_intersections,
 )
 from repro.engine.planner import (
@@ -491,7 +492,9 @@ class BatchQueryEngine:
             indptr, columns = bulk_randomized_response(
                 graph, layer, vertices, epsilon, rng
             )
-            backend = choose_backend(vertices.size, ia.size, domain)
+            backend = choose_backend(
+                vertices.size, ia.size, domain, pair_id_total(indptr, ia, ib)
+            )
             n1 = pairwise_intersections(
                 indptr, columns, ia, ib, domain, backend=backend
             )

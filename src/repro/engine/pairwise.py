@@ -10,8 +10,14 @@ Three interchangeable backends compute exactly the same counts:
 * ``sparse`` — one SciPy CSR product ``A Aᵀ`` gathered at the query
   pairs; wins when the workload is dense in its distinct vertices (many
   pairs per row), e.g. all-pairs projections.
-* ``merge`` — a ``searchsorted``-based sorted-merge per pair; the
-  dependency-free fallback and the safe choice for huge sparse workloads.
+* ``merge`` — one vectorized sorted merge over every pair: each pair's
+  two sorted rows become keys ``pair * domain + column``, one
+  ``searchsorted`` finds the shared keys and one ``bincount`` tallies
+  them per pair. It touches only the ids the pairs list (~16 bytes each),
+  so it wins on sparse rows over a wide domain — the exact-C2 step of
+  sketch mode — and is the dependency-free fallback.
+
+:func:`choose_backend` compares the bytes each backend would touch.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ __all__ = [
     "HAVE_SCIPY",
     "PRODUCT_MAX_ROWS",
     "BITSET_MAX_CELLS",
+    "MERGE_BYTES_PER_ID",
     "choose_backend",
+    "pair_id_total",
     "pack_bitset_rows",
     "pairwise_intersections",
     "debias_pair_counts",
@@ -49,20 +57,30 @@ BITSET_MAX_CELLS = 200_000_000
 # Pair blocks processed at once by the bitset backend (bounds the gathered
 # packed-row working set).
 _BITSET_PAIR_BLOCK = 16_384
+# Bytes the merge touches per listed id: its int64 key plus the int64
+# gather index or search position that accompanies it.
+MERGE_BYTES_PER_ID = 16
+# Ids (both rows of every pair) keyed at once by the merge: bounds its
+# scratch at a few tens of MB however many pairs a call counts.
+_MERGE_BLOCK_IDS = 1 << 20
 
 
-def choose_backend(rows: int, num_pairs: int, domain: int) -> str:
-    """Pick the counting backend for a workload shape.
+def choose_backend(rows: int, num_pairs: int, domain: int, pair_ids: int) -> str:
+    """Pick the counting backend for a block by the bytes it would touch.
 
-    The thresholds are static memory guards: ``bitset`` while the dense
-    ``rows x domain`` scratch stays under :data:`BITSET_MAX_CELLS`,
+    ``merge`` touches ~:data:`MERGE_BYTES_PER_ID` bytes per id of both
+    rows of every pair (``16 * pair_ids``); ``bitset`` touches one byte
+    per cell of its ``rows x domain`` scratch. When the merge touches
+    fewer bytes it is picked — sparse rows over a wide domain, such as
+    sketch mode's true rows. Otherwise the memory guards apply:
+    ``bitset`` while its scratch stays under :data:`BITSET_MAX_CELLS`,
     ``sparse`` while the Gram output square stays under
     :data:`PRODUCT_MAX_ROWS` rows *and* the workload is pair-dense, else
-    the dependency-free ``merge``. Because they are per-*shape*, a
-    sharded workload must call this per shard block, not once for the
-    whole workload: a 100k-row workload as a whole overflows the bitset
-    scratch, while each of its 10k-row shard blocks fits comfortably —
-    the shard runner therefore re-chooses per block
+    ``merge``. Because the choice is per *block*, a sharded workload
+    calls this per shard block, not once for the whole workload: a
+    100k-row workload as a whole overflows the bitset scratch, while
+    each of its 10k-row shard blocks fits comfortably — the shard runner
+    therefore re-chooses per block
     (:meth:`repro.engine.sharded.ShardedRunner.pairwise`) and logs every
     choice in ``details["shards"]``.
 
@@ -75,6 +93,9 @@ def choose_backend(rows: int, num_pairs: int, domain: int) -> str:
         Query pairs to answer over those rows.
     domain:
         Opposite-layer size (columns of every row).
+    pair_ids:
+        Ids listed by both rows of every pair, summed over the pairs
+        (:func:`pair_id_total` of the block).
 
     Returns
     -------
@@ -84,14 +105,26 @@ def choose_backend(rows: int, num_pairs: int, domain: int) -> str:
 
     Example
     -------
-    >>> choose_backend(100, 1000, 1000) in {"bitset", "sparse", "merge"}
-    True
+    >>> choose_backend(496, 248, 22_000, 2_300)  # sparse rows, wide domain
+    'merge'
+    >>> choose_backend(1_200, 4_000, 8_100, 8_000_000)  # dense noisy rows
+    'bitset'
     """
-    if HAVE_BITWISE_COUNT and rows * max(domain, 1) <= BITSET_MAX_CELLS:
+    cells = rows * max(domain, 1)
+    if MERGE_BYTES_PER_ID * pair_ids < cells:
+        return "merge"
+    if HAVE_BITWISE_COUNT and cells <= BITSET_MAX_CELLS:
         return "bitset"
     if HAVE_SCIPY and rows <= PRODUCT_MAX_ROWS and num_pairs > rows:
         return "sparse"
     return "merge"
+
+
+def pair_id_total(indptr: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> int:
+    """Ids listed by both rows of every pair: ``|row(ia[j])| + |row(ib[j])|``
+    summed over ``j`` — the merge's work, as :func:`choose_backend` reads it."""
+    sizes = np.diff(indptr)
+    return int(sizes[ia].sum() + sizes[ib].sum())
 
 
 def pack_bitset_rows(
@@ -146,7 +179,7 @@ def pairwise_intersections(
     ib = np.asarray(ib, dtype=np.int64)
     if backend is None:
         backend = "bitset" if packed is not None else choose_backend(
-            indptr.size - 1, ia.size, domain
+            indptr.size - 1, ia.size, domain, pair_id_total(indptr, ia, ib)
         )
     if backend in ("sparse", "merge") and (indptr is None or columns is None):
         raise ValueError(f"the {backend} backend needs the CSR block (indptr, columns)")
@@ -159,7 +192,7 @@ def pairwise_intersections(
             raise RuntimeError("the sparse backend needs SciPy")
         return _gram_intersections(indptr, columns, ia, ib, domain)
     if backend == "merge":
-        return _merge_intersections(indptr, columns, ia, ib)
+        return _merge_intersections(indptr, columns, ia, ib, domain)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -191,22 +224,48 @@ def _gram_intersections(indptr, columns, ia, ib, domain) -> np.ndarray:
     return np.asarray(gram[ia, ib]).ravel().astype(np.int64)
 
 
-def _merge_intersections(indptr, columns, ia, ib) -> np.ndarray:
-    out = np.empty(ia.size, dtype=np.int64)
-    for j in range(ia.size):
-        a0, a1 = indptr[ia[j]], indptr[ia[j] + 1]
-        b0, b1 = indptr[ib[j]], indptr[ib[j] + 1]
-        if a1 - a0 > b1 - b0:
-            a0, a1, b0, b1 = b0, b1, a0, a1
-        short = columns[a0:a1]
-        longer = columns[b0:b1]
-        if short.size == 0 or longer.size == 0:
-            out[j] = 0
+def _merge_intersections(indptr, columns, ia, ib, domain) -> np.ndarray:
+    # Row lists are sorted, so keying pair j's ids as j * span + column
+    # lays every pair's row out in one globally sorted array per side; a
+    # shared key is a shared column of one pair. Blocks of pairs keep the
+    # key scratch near _MERGE_BLOCK_IDS ids.
+    out = np.zeros(ia.size, dtype=np.int64)
+    if ia.size == 0:
+        return out
+    columns = np.asarray(columns, dtype=np.int64)  # keys need 64 bits
+    sizes = np.diff(indptr)
+    la, lb = sizes[ia], sizes[ib]
+    span = max(int(domain), 1)
+    cum = np.cumsum(la + lb)
+    cuts = np.searchsorted(
+        cum, np.arange(_MERGE_BLOCK_IDS, int(cum[-1]), _MERGE_BLOCK_IDS)
+    ) + 1
+    bounds = np.concatenate(([0], cuts, [ia.size]))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if start >= stop:
             continue
-        at = np.searchsorted(longer, short)
-        at[at == longer.size] = longer.size - 1
-        out[j] = int(np.count_nonzero(longer[at] == short))
+        keys_a = _pair_keys(indptr, columns, ia[start:stop], la[start:stop], span)
+        keys_b = _pair_keys(indptr, columns, ib[start:stop], lb[start:stop], span)
+        if keys_a.size > keys_b.size:  # search the shorter side
+            keys_a, keys_b = keys_b, keys_a
+        if keys_a.size == 0:
+            continue
+        at = np.searchsorted(keys_b, keys_a)
+        np.minimum(at, keys_b.size - 1, out=at)
+        shared = keys_a[keys_b[at] == keys_a]
+        out[start:stop] = np.bincount(shared // span, minlength=stop - start)
     return out
+
+
+def _pair_keys(indptr, columns, rows, lengths, span) -> np.ndarray:
+    """``j * span + column`` for every column of ``rows[j]``, in order."""
+    starts = np.cumsum(lengths) - lengths
+    keys = columns[
+        np.arange(int(starts[-1] + lengths[-1]), dtype=np.int64)
+        + np.repeat(indptr[rows] - starts, lengths)
+    ]
+    keys += np.repeat(np.arange(rows.size, dtype=np.int64) * span, lengths)
+    return keys
 
 
 def debias_pair_counts(

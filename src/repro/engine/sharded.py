@@ -57,7 +57,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.engine.bulkrr import merge_csr_fragments
-from repro.engine.pairwise import choose_backend, pairwise_intersections
+from repro.engine.pairwise import (
+    choose_backend,
+    pair_id_total,
+    pairwise_intersections,
+)
 from repro.engine.planner import ShardPlan
 from repro.engine.transport import (
     _WORKER_CONTEXTS,  # noqa: F401  (re-exported: tests and tools patch here)
@@ -645,8 +649,8 @@ class ShardedRunner:
         Pairs are grouped by the (order-normalized) shard block their
         endpoints span. Each block stacks only its one or two fragments
         and calls :func:`~repro.engine.pairwise.choose_backend` on its
-        *own* shape — the whole-workload choice systematically mispicks
-        per shard, e.g. a workload too big for one bitset scratch whose
+        *own* rows and pairs — the whole-workload choice systematically
+        mispicks per shard, e.g. a workload too big for one bitset scratch whose
         individual blocks fit it comfortably. Block partials scatter
         into the global ``n1`` (bitset/merge) or come from the block's
         sparse Gram product; either way the reduction over blocks is
@@ -710,14 +714,12 @@ class ShardedRunner:
                 def local(r: np.ndarray) -> np.ndarray:
                     return np.where(r < shi, r - slo, s_rows + (r - tlo))
 
-            backend = choose_backend(rows, members.size, domain)
+            la, lb = local(ia[members]), local(ib[members])
+            backend = choose_backend(
+                rows, members.size, domain, pair_id_total(sub_indptr, la, lb)
+            )
             n1[members] = pairwise_intersections(
-                sub_indptr,
-                sub_columns,
-                local(ia[members]),
-                local(ib[members]),
-                domain,
-                backend=backend,
+                sub_indptr, sub_columns, la, lb, domain, backend=backend
             )
             blocks.append(
                 {

@@ -60,7 +60,11 @@ import numpy as np
 
 from repro.engine.bulkrr import keyed_bulk_randomized_response
 from repro.engine.faults import FAULT_EXIT_CODE, FaultPlan
-from repro.engine.pairwise import choose_backend, pairwise_intersections
+from repro.engine.pairwise import (
+    choose_backend,
+    pair_id_total,
+    pairwise_intersections,
+)
 from repro.errors import PayloadIntegrityError, ProtocolError
 from repro.graph.bipartite import BipartiteGraph, Layer
 from repro.protocol import wire
@@ -256,7 +260,8 @@ def execute_spec(
     backend = None
     if spec.ia is not None and spec.ia.size:
         backend = choose_backend(
-            int(spec.vertices.size), int(spec.ia.size), spec.domain
+            int(spec.vertices.size), int(spec.ia.size), spec.domain,
+            pair_id_total(indptr, spec.ia, spec.ib),
         )
         n1 = pairwise_intersections(
             indptr, columns, spec.ia, spec.ib, spec.domain, backend=backend

@@ -65,7 +65,7 @@ overhead.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,13 +309,12 @@ class NoisyViewCache:
         self._drawn_vertices: set[int] = set()
         self._drawn_pairs: set[tuple[int, int]] = set()
         self._drawn_degrees: set[int] = set()
-        # Touch counts feed the warm pre-draw at rotation, smoothed
-        # across epochs by an EWMA so one quiet (or bursty) epoch does
-        # not wipe out — or hijack — the warm set.
+        # Per-vertex touch counts feed the warm pre-draw at rotation,
+        # smoothed across epochs by an EWMA so one quiet (or bursty) epoch
+        # does not wipe out — or hijack — the warm set.
         self.warm_decay = float(warm_decay)
-        self._touches: Counter[int] = Counter()
-        self._touch_ewma: dict[int, float] = {}
-        self._hot_last_epoch: list[int] = []
+        self._touches = np.zeros(graph.layer_size(layer), dtype=np.int64)
+        self._heat = np.zeros(graph.layer_size(layer), dtype=np.float64)
         # Last drawn shard range per vertex (sharded caches only): the
         # eviction batch key for shard-aware trimming.
         self._shard_group: dict[int, int] = {}
@@ -556,12 +555,12 @@ class NoisyViewCache:
         touch (feeding the hottest-vertex snapshot) and moves to the LRU
         tail.
         """
+        vertices = np.asarray(vertices, dtype=np.int64)
         views = []
-        for v in vertices:
-            v = int(v)
-            self._touches[v] += 1
+        for v in vertices.tolist():
             self._views.move_to_end(v)
             views.append(self._views[v])
+        np.add.at(self._touches, vertices, 1)
         return np.stack(views) if views else np.empty((0, 0), dtype=np.uint8)
 
     def packed_matrix(self, vertices: np.ndarray) -> np.ndarray:
@@ -940,9 +939,16 @@ class NoisyViewCache:
         (1 - warm_decay) * previous_heat``, so one anomalous epoch can
         neither evict a stable hot set from the warm list nor park a
         one-off burst in it — while a genuinely drifted hot set takes
-        over within about two epochs. Empty before the first rotation.
+        over within about two epochs. Vertices of equal heat rank by
+        vertex id, lowest first; heat that decayed to 1e-9 or below
+        ranks nowhere. Empty before the first rotation.
         """
-        return self._hot_last_epoch[: max(0, int(k))]
+        k = max(0, int(k))
+        hot = np.flatnonzero(self._heat)
+        if k == 0 or hot.size == 0:
+            return []
+        order = np.lexsort((hot, -self._heat[hot]))
+        return hot[order[:k]].tolist()
 
     # ------------------------------------------------------------------
     # Streaming mutations and epoch rotation
@@ -1006,31 +1012,18 @@ class NoisyViewCache:
         whose ops cancelled out entirely falls back to the full path —
         indistinguishable, draws included, from never having mutated.
 
-        Returns the new epoch id. Also snapshots the closed epoch's
-        hottest vertices for :meth:`hottest_last_epoch`.
+        Returns the new epoch id. Also folds the closed epoch's touch
+        counts into the heat that :meth:`hottest_last_epoch` ranks.
         """
         pending = self._pending
         self._pending = None
-        # Fold the closed epoch's touch counts into the cross-epoch EWMA
-        # and rank the warm set by the smoothed heat. Iterating the old
-        # heat first, then most_common() (count-desc, first-touch order
-        # on ties), keeps the ranking stable and deterministic: Python's
-        # sort preserves that insertion order among equal heats.
+        # Fold the closed epoch's touch counts into the cross-epoch EWMA;
+        # heat that decayed to noise drops out of the warm set.
         alpha = self.warm_decay
-        heat: dict[int, float] = {
-            v: (1.0 - alpha) * h for v, h in self._touch_ewma.items()
-        }
-        for v, count in self._touches.most_common():
-            heat[v] = heat.get(v, 0.0) + alpha * count
-        # Drop vertices whose heat decayed to noise so the EWMA map does
-        # not grow without bound across many epochs.
-        self._touch_ewma = {v: h for v, h in heat.items() if h > 1e-9}
-        self._hot_last_epoch = [
-            v for v, _ in sorted(
-                self._touch_ewma.items(), key=lambda item: -item[1]
-            )
-        ]
-        self._touches.clear()
+        self._heat *= 1.0 - alpha
+        self._heat += alpha * self._touches
+        self._heat[self._heat <= 1e-9] = 0.0
+        self._touches.fill(0)
         if pending is not None and not pending.is_net_empty:
             return self._rotate_incremental(pending)
         self._views.clear()

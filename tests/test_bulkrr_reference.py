@@ -2,11 +2,13 @@
 
 The reference below is the earlier bulk-RR pipeline, kept verbatim: a
 per-segment rank search (``_positions_to_columns``), a merge keyed by
-segment (``_assemble_noisy_rows``), the shared and keyed draws built on
-them, and the 2-D fancy-indexing bit-row packer. The engine now maps the
-complement tape straight to flat cells and packs by one flat scatter;
-both must reproduce the reference byte for byte, on any block — empty
-and full rows, repeated vertices, empty blocks — at any budget, from the
+segment (``_assemble_noisy_rows``), the keyed flip kernel that returns
+per-id ``(slot, position)`` hits (``_keyed_complement_hits``), the shared
+and keyed draws built on them, and the 2-D fancy-indexing bit-row packer.
+The engine now maps the complement tape straight to flat cells, its
+keyed kernel emits block tape indices, and it packs by one flat scatter;
+all must reproduce the reference byte for byte, on any block — empty and
+full rows, repeated vertices, empty blocks — at any budget, from the
 same RNG consumption.
 """
 
@@ -20,12 +22,19 @@ from hypothesis import strategies as st
 
 from repro.engine import bulkrr, pairwise
 from repro.engine.bulkrr import (
+    _FLIP_CHUNK,
+    _FLIP_PER_BLOCK,
+    _MASK32,
+    _SH32,
+    _U32,
+    KEYED_STAGE_FLIP,
     KEYED_STAGE_KEEP,
     KEYED_TAG_ROWS,
-    _keyed_complement_hits,
     _keyed_uniforms_ragged,
     _workload_rows,
     lengths_to_indptr,
+    pack_version_epoch,
+    philox4x64,
 )
 from repro.errors import GraphError
 from repro.graph.bipartite import BipartiteGraph, Layer
@@ -143,6 +152,130 @@ def _assemble_noisy_rows(
         flip_seg, minlength=k
     )
     return lengths_to_indptr(row_counts), columns
+
+
+def _keyed_complement_hits(
+    key: tuple[int, int],
+    ids: np.ndarray,
+    epoch: int,
+    tape: np.ndarray,
+    p: float,
+    versions: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-id Bernoulli(p) hit positions from each id's keyed flip stream.
+
+    The keyed analogue of :func:`bernoulli_hits` run over every id at
+    once: id ``i`` walks its private tape of ``tape[i]`` complement cells
+    by geometric gaps whose uniforms come from its own counter blocks
+    (``[1 + b, KEYED_STAGE_FLIP, ids[i], epoch]``); the flip stage reads
+    each block's 4 words as 8 *32-bit* uniforms (high half first), which
+    halves the Philox work per gap. Gap rounds use the same ``6 sigma +
+    16`` margin as the shared path, so almost every id finishes in its
+    first round; ids whose margin ran out draw further blocks in later
+    rounds. Per id, the draw schedule depends only on its own stream and
+    ``(tape[i], p)`` — a solo call replays the batched consumption
+    exactly. Batches are processed in cache-sized id groups (grouping
+    cannot change any id's stream, only the iteration order).
+
+    Returns ``(slots, positions)`` sorted by ``(slot, position)`` where
+    ``slots`` indexes into ``ids``.
+    """
+    k = ids.size
+    out_slots: list[np.ndarray] = []
+    out_pos: list[np.ndarray] = []
+    if k == 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    log1mp = math.log1p(-p)
+    tape = np.asarray(tape, dtype=np.int64)
+    position = np.full(k, -1, dtype=np.int64)
+    next_block = np.ones(k, dtype=np.int64)  # counter word 0 starts at 1
+    active = np.flatnonzero(tape > 0)
+    ids64 = ids.astype(np.uint64)
+    word3 = None if versions is None else pack_version_epoch(epoch, versions)
+    rounds = 0
+    while active.size:
+        t_act = tape[active]
+        expect = (t_act - position[active]) * p
+        blocks = (
+            (expect + 6.0 * np.sqrt(expect) + 16.0).astype(np.int64)
+            + (_FLIP_PER_BLOCK - 1)
+        ) // _FLIP_PER_BLOCK
+        # Cache-sized groups: every intermediate below stays ~1 MiB, which
+        # this kernel needs — it is allocation/bandwidth bound.
+        cum = np.cumsum(blocks)
+        cuts = (
+            np.searchsorted(
+                cum,
+                np.arange(_FLIP_CHUNK, int(cum[-1]), _FLIP_CHUNK),
+                side="left",
+            )
+            + 1
+        )
+        unfinished = np.zeros(active.size, dtype=bool)
+        for g0, g1 in zip(
+            np.concatenate(([0], cuts)), np.concatenate((cuts, [active.size]))
+        ):
+            if g0 >= g1:
+                continue
+            act = active[g0:g1]
+            gb = blocks[g0:g1]
+            total = int(gb.sum())
+            block_indptr = lengths_to_indptr(gb)
+            counters = np.empty((total, 4), dtype=np.uint64)
+            counters[:, 0] = (
+                np.arange(total, dtype=np.int64)
+                - np.repeat(block_indptr[:-1], gb)
+                + np.repeat(next_block[act], gb)
+            ).astype(np.uint64)
+            counters[:, 1] = np.uint64(KEYED_STAGE_FLIP)
+            counters[:, 2] = ids64[act].repeat(gb)
+            if word3 is None:
+                counters[:, 3] = np.uint64(epoch)
+            else:
+                counters[:, 3] = word3[act].repeat(gb)
+            words = philox4x64(counters, key).reshape(-1)
+            u = np.empty(words.size * 2, dtype=np.float64)
+            u[0::2] = (words >> _SH32) * _U32
+            u[1::2] = (words & _MASK32) * _U32
+
+            # Geometric gaps, kept in float64. Clipping each gap at its
+            # own tape (as bernoulli_hits does) guards the minuscule-p
+            # log blowups without changing output — a clipped gap still
+            # overshoots its tape — and is batch-independent, since the
+            # bound is the id's own tape. It also keeps every running sum
+            # an exact float64 integer (group totals stay ~words * tape,
+            # far below 2^53 for any graph that fits in memory).
+            lengths = gb * _FLIP_PER_BLOCK
+            t_rep = np.repeat(t_act[g0:g1].astype(np.float64), lengths)
+            gaps = np.log1p(-u, out=u)
+            gaps /= log1mp
+            np.floor(gaps, out=gaps)
+            np.minimum(gaps, t_rep, out=gaps)
+            gaps += 1.0
+            running = np.cumsum(gaps)
+            indptr = lengths_to_indptr(lengths)
+            offset = (
+                running[indptr[:-1]] - gaps[indptr[:-1]] - position[act]
+            )
+            hits = running
+            hits -= np.repeat(offset, lengths)
+            valid = hits < t_rep
+            out_slots.append(act.repeat(lengths)[valid])
+            out_pos.append(hits[valid].astype(np.int64))
+
+            last = hits[indptr[1:] - 1]
+            open_ = last < t_act[g0:g1]
+            position[act[open_]] = last[open_].astype(np.int64)
+            unfinished[g0:g1] = open_
+        next_block[active] += blocks
+        active = active[unfinished]
+        rounds += 1
+    slots = np.concatenate(out_slots) if out_slots else np.empty(0, np.int64)
+    pos = np.concatenate(out_pos) if out_pos else np.empty(0, np.int64)
+    if rounds > 1 and slots.size:
+        order = np.lexsort((pos, slots))
+        slots, pos = slots[order], pos[order]
+    return slots, pos
 
 
 def reference_bulk_randomized_response(graph, layer, vertices, epsilon, rng=None):
@@ -376,3 +509,37 @@ def test_workload_sized_block_matches_reference():
                 graph, Layer.UPPER, vertices, epsilon, **kwargs
             ),
         )
+
+
+def test_keyed_multi_round_draw_matches_reference(monkeypatch):
+    """All-zero Philox words make every gap 1, so each id's margin runs out
+    many rounds before its tape does: the later-round merge that no
+    seeded draw reaches must still order the hits like the reference."""
+
+    def zero_words(counters, key):
+        return np.zeros(counters.shape, dtype=np.uint64)
+
+    monkeypatch.setattr(bulkrr, "philox4x64", zero_words)
+    monkeypatch.setitem(globals(), "philox4x64", zero_words)  # the reference's
+    rng = np.random.default_rng(3)
+    n_upper, n_lower = 6, 700
+    edges = np.column_stack(
+        (rng.integers(0, n_upper, 900), rng.integers(0, n_lower, 900))
+    )
+    graph = BipartiteGraph(n_upper, n_lower, edges)
+    vertices = np.array([4, 0, 5, 0, 2], dtype=np.int64)
+    kwargs = dict(entropy=5, epoch=1, versions=None)
+    got = bulkrr.keyed_bulk_randomized_response(
+        graph, Layer.UPPER, vertices, 5.0, **kwargs
+    )
+    assert_same_rows(
+        got,
+        reference_keyed_bulk_randomized_response(
+            graph, Layer.UPPER, vertices, 5.0, **kwargs
+        ),
+    )
+    # Zero uniforms drop every true edge and flip every other cell.
+    indptr, columns = got
+    for i, v in enumerate(vertices):
+        complement = np.setdiff1d(np.arange(n_lower), graph.neighbors(Layer.UPPER, v))
+        assert columns[indptr[i] : indptr[i + 1]].tolist() == complement.tolist()
