@@ -42,6 +42,7 @@ from repro.engine.sketch import sketch_pair_counts
 from repro.engine.sketches import SketchConfig, sketch_family
 from repro.errors import PrivacyError, ProtocolError
 from repro.graph.bipartite import BipartiteGraph, Layer
+from repro.graph.codes import sorted_unique, unique_rows
 from repro.graph.sampling import QueryPair
 from repro.privacy.accountant import PrivacyLedger
 from repro.privacy.composition import QueryBudgetManager
@@ -545,11 +546,7 @@ class BatchQueryEngine:
         recharges_before = cache.stats.recharges
         if mode is ExecutionMode.SKETCH:
             keys = pair_keys(plan)
-            hit_mask = np.fromiter(
-                (cache.has_pair(a, b) for a, b in keys),
-                dtype=bool,
-                count=plan.num_pairs,
-            )
+            hit_mask = cache.pair_cached_mask(keys)
             upload_bytes = 0
             charged = np.empty(0, dtype=np.int64)
             party = None
@@ -558,13 +555,8 @@ class BatchQueryEngine:
                 # once and every occurrence replays that stored draw. Only
                 # pairs never drawn this epoch recharge their endpoints —
                 # a bounded cache replays evicted pairs deterministically.
-                miss_keys = np.unique(keys[~hit_mask], axis=0)
-                new_keys = cache.unseen_pairs(miss_keys)
-                charged = (
-                    np.unique(new_keys)
-                    if new_keys.size
-                    else np.empty(0, dtype=np.int64)
-                )
+                miss_keys = unique_rows(keys[~hit_mask])
+                charged = sorted_unique(cache.unseen_pairs(miss_keys))
                 # The charge must precede the draw so a refusal leaves no
                 # uncharged cached statistics behind.
                 party = cache.accountant.charge_vertices(
@@ -573,10 +565,8 @@ class BatchQueryEngine:
                 )
                 _, _, upload_ids = cache.sketch_fresh(miss_keys, rng)
                 upload_bytes = upload_ids * ID_BYTES
-            counts = [cache.pair_counts(a, b) for a, b in keys]
-            n1 = np.array([c[0] for c in counts], dtype=np.int64)
-            n2 = np.array([c[1] for c in counts], dtype=np.int64)
-            hits = int(hit_mask.sum())
+            n1, n2 = cache.gather_pair_counts(keys)
+            hits = int(np.count_nonzero(hit_mask))
             misses = plan.num_pairs - hits
             cache.stats.pair_hits += hits
             cache.stats.pair_misses += misses

@@ -19,6 +19,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graph.codes import (
+    decode,
+    encode,
+    sorted_member,
+    sorted_unique,
+    unique_rows,
+)
 
 __all__ = ["Layer", "BipartiteGraph"]
 
@@ -52,13 +59,11 @@ def _as_edge_array(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _build_csr(src: np.ndarray, dst: np.ndarray, n_src: int) -> tuple[np.ndarray, np.ndarray]:
-    """Build a CSR (indptr, indices) for ``src -> dst`` with sorted rows."""
-    order = np.lexsort((dst, src))
-    counts = np.bincount(src, minlength=n_src)
+def _indptr(src: np.ndarray, n_src: int) -> np.ndarray:
+    """CSR row pointers of the ascending row ids ``src``."""
     indptr = np.zeros(n_src + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst[order]
+    np.cumsum(np.bincount(src, minlength=n_src), out=indptr[1:])
+    return indptr
 
 
 def _splice_csr(
@@ -84,16 +89,12 @@ def _splice_csr(
     src = np.repeat(np.arange(n_src, dtype=np.int64), np.diff(indptr))
     codes = src * n_dst + indices
     if del_src.size:
-        del_codes = np.sort(del_src * n_dst + del_dst)
-        slots = np.searchsorted(del_codes, codes).clip(max=del_codes.size - 1)
-        codes = codes[del_codes[slots] != codes]
+        codes = codes[~sorted_member(np.sort(encode(del_src, del_dst, n_dst)), codes)]
     if ins_src.size:
-        ins_codes = np.sort(ins_src * n_dst + ins_dst)
+        ins_codes = np.sort(encode(ins_src, ins_dst, n_dst))
         codes = np.insert(codes, np.searchsorted(codes, ins_codes), ins_codes)
-    counts = np.bincount(codes // n_dst, minlength=n_src)
-    new_indptr = np.zeros(n_src + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, codes % n_dst
+    src, dst = decode(codes, n_dst)
+    return _indptr(src, n_src), dst
 
 
 class BipartiteGraph:
@@ -125,14 +126,17 @@ class BipartiteGraph:
                 raise GraphError("upper endpoint out of range")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= self._n_lower:
                 raise GraphError("lower endpoint out of range")
-            arr = np.unique(arr, axis=0)
-        self._edges = arr
-        self._u_indptr, self._u_indices = _build_csr(
-            arr[:, 0], arr[:, 1], self._n_upper
+        # The sorted distinct edge codes list the upper CSR as it stands;
+        # the lower CSR sorts the transposed codes.
+        n_upper, n_lower = max(self._n_upper, 1), max(self._n_lower, 1)
+        upper, lower = decode(
+            sorted_unique(encode(arr[:, 0], arr[:, 1], n_lower)), n_lower
         )
-        self._l_indptr, self._l_indices = _build_csr(
-            arr[:, 1], arr[:, 0], self._n_lower
-        )
+        self._edges = np.column_stack([upper, lower])
+        self._u_indptr = _indptr(upper, self._n_upper)
+        self._u_indices = lower
+        self._l_indptr = _indptr(lower, self._n_lower)
+        self._l_indices = np.sort(encode(lower, upper, n_upper)) % n_upper
         for a in (self._edges, self._u_indptr, self._u_indices, self._l_indptr, self._l_indices):
             a.setflags(write=False)
 
@@ -275,7 +279,7 @@ class BipartiteGraph:
                 raise GraphError(f"{what}: upper endpoint out of range")
             if arr[:, 1].min() < 0 or arr[:, 1].max() >= self._n_lower:
                 raise GraphError(f"{what}: lower endpoint out of range")
-            arr = np.unique(arr, axis=0)
+            arr = unique_rows(arr)
         return arr
 
     def insert_edges(

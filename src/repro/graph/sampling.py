@@ -12,6 +12,8 @@ Three samplers back the paper's evaluation protocol:
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from repro.errors import GraphError
@@ -28,14 +30,26 @@ __all__ = [
 
 
 class QueryPair(tuple):
-    """A ``(layer, a, b)`` query: two distinct vertices on the same layer."""
+    """A ``(layer, a, b)`` query: two distinct vertices on the same layer.
+
+    Vertex ids must be integers (Python or NumPy); anything else — a
+    float such as ``1.5``, even an integral ``np.float64(2.0)``, or a
+    string — raises :class:`~repro.errors.GraphError` instead of being
+    truncated into some other vertex (or into a self-pair).
+    """
 
     __slots__ = ()
 
     def __new__(cls, layer: Layer, a: int, b: int):
+        try:
+            a, b = index(a), index(b)
+        except TypeError:
+            raise GraphError(
+                f"query vertices must be integers, got {a!r} and {b!r}"
+            ) from None
         if a == b:
             raise GraphError("query vertices must be distinct")
-        return super().__new__(cls, (layer, int(a), int(b)))
+        return super().__new__(cls, (layer, a, b))
 
     @property
     def layer(self) -> Layer:

@@ -24,7 +24,17 @@ mode)``:
   served from its cached ``(N1, N2)`` draw for free, while a *new* pair
   honestly recharges its endpoints (a fresh marginal draw simulates a
   fresh release — the :class:`~repro.privacy.epoch.EpochAccountant`
-  records the accumulated loss instead of hiding it).
+  records the accumulated loss instead of hiding it). The pair store is
+  array-native: sorted int64 *pair codes* ``min(a, b) * n + max(a, b)``
+  (``n`` the serving layer's size) with aligned ``N1``, ``N2`` and LRU
+  stamp arrays — 32 bytes per entry — so a tick's hits, unseen keys,
+  store and touching read are each one vectorized pass over the tick's
+  ``(k, 2)`` key block (see :mod:`repro.graph.codes`).
+
+Every membership question a tick asks is one array read: view residency
+and the *charge memory* (which vertices, degrees and pairs were drawn —
+and so charged — this epoch) are dense per-vertex flags and a sorted
+pair-code array, kept current by every store, eviction and rotation.
 
 ``rotate()`` starts a new epoch: views are dropped, so the next query
 re-draws and recharges each vertex it touches. The paired accountant
@@ -84,6 +94,14 @@ from repro.engine.sketch import sketch_pair_counts
 from repro.engine.sketches import SketchConfig, check_sketch_epsilon, sketch_family
 from repro.errors import ProtocolError
 from repro.graph.bipartite import BipartiteGraph, Layer
+from repro.graph.codes import (
+    decode,
+    encode,
+    sorted_find,
+    sorted_member,
+    sorted_union,
+    sorted_unique,
+)
 from repro.graph.delta import DeltaLog
 from repro.privacy.accountant import PrivacyLedger
 from repro.privacy.epoch import EpochAccountant
@@ -94,8 +112,8 @@ from repro.protocol.session import ExecutionMode, resolve_mode
 
 __all__ = ["CacheStats", "NoisyViewCache", "ResolvedViews"]
 
-# Bookkeeping cost of one sketch-mode pair entry: the (min, max) key and
-# the (N1, N2) counts, as four 8-byte integers.
+# Bookkeeping cost of one sketch-mode pair entry: its int64 pair code,
+# the (N1, N2) counts and its LRU stamp, as four 8-byte integers.
 _PAIR_ENTRY_BYTES = 32
 # Bookkeeping cost of one noisy-degree entry: the vertex key and the
 # released float, as two 8-byte words.
@@ -172,9 +190,10 @@ class NoisyViewCache:
         stores its fresh draws first and evicts afterwards, so one
         tick's working set may transiently overshoot. Note that the
         *charge memory* (which keys were drawn this epoch) survives
-        eviction by design and is not part of the byte accounting; it
-        is O(distinct keys per epoch) — bounded by the layer size in
-        the vertex-view modes, by rotation cadence in sketch mode.
+        eviction by design and is not part of the byte accounting: one
+        byte per serving-layer vertex for views and one for degrees,
+        plus 8 bytes per pair drawn this epoch in sketch mode (bounded
+        by rotation cadence).
     rng:
         Entropy source for the keyed deterministic streams (one integer
         is drawn at construction; pass the server's generator for
@@ -295,20 +314,28 @@ class NoisyViewCache:
         self.last_shard_draw: list[dict] = []
         self.last_shard_faults: dict = {}
         self._bytes = 0
+        n_layer = graph.layer_size(layer)
         # Resident vertex views in LRU order: noisy rows (materialize) or
-        # fixed-size released sketches (sketch-view), one store either way.
+        # fixed-size released sketches (sketch-view), one store either way;
+        # `_resident` flags the same vertices densely.
         self._views: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._pair_counts: OrderedDict[tuple[int, int], tuple[int, int]] = (
-            OrderedDict()
-        )
+        self._resident = np.zeros(n_layer, dtype=bool)
+        # Sketch-mode pair store: ascending pair codes
+        # min(a, b) * _span + max(a, b) with aligned counts and LRU stamps
+        # from one monotone clock (least recently touched = lowest stamp);
+        # `_drawn_codes` (set by `_clear_pairs` too) is its charge memory.
+        self._span = n_layer
+        self._clear_pairs()
+        self._clock = 0
         self.sketch = sketch
         self._family = sketch_family(sketch) if sketch is not None else None
         self._degrees: OrderedDict[int, float] = OrderedDict()
-        # Epoch-scoped charge memory: which vertices/pairs/degrees have
-        # already been drawn (and charged) this epoch, surviving eviction.
-        self._drawn_vertices: set[int] = set()
-        self._drawn_pairs: set[tuple[int, int]] = set()
-        self._drawn_degrees: set[int] = set()
+        # Epoch-scoped charge memory: which vertices/degrees (dense flags)
+        # and pairs (ascending codes) have already been drawn — and
+        # charged — this epoch, surviving eviction. Every resident entry
+        # is also drawn, so "drawn" alone answers "charge-free".
+        self._drawn_vertices = np.zeros(n_layer, dtype=bool)
+        self._drawn_degrees = np.zeros(n_layer, dtype=bool)
         # Per-vertex touch counts feed the warm pre-draw at rotation,
         # smoothed across epochs by an EWMA so one quiet (or bursty) epoch
         # does not wipe out — or hijack — the warm set.
@@ -325,7 +352,7 @@ class NoisyViewCache:
     # ------------------------------------------------------------------
     def has_view(self, vertex: int) -> bool:
         """True when ``vertex`` holds a resident view this epoch."""
-        return int(vertex) in self._views
+        return self._in_layer(vertex) and bool(self._resident[int(vertex)])
 
     def view(self, vertex: int) -> np.ndarray:
         """The cached view: a noisy neighbor list (sorted int64 column
@@ -344,12 +371,9 @@ class NoisyViewCache:
         return np.flatnonzero(bits).astype(np.int64, copy=False)
 
     def vertex_cached_mask(self, vertices: np.ndarray) -> np.ndarray:
-        """Boolean per entry: does a resident epoch view already exist?"""
-        return np.fromiter(
-            (int(v) in self._views for v in vertices),
-            dtype=bool,
-            count=len(vertices),
-        )
+        """Boolean per entry (any shape): does a resident epoch view
+        already exist?"""
+        return self._resident[np.asarray(vertices, dtype=np.int64)]
 
     def uncharged(self, vertices: np.ndarray) -> np.ndarray:
         """The subset of ``vertices`` not yet drawn (= charged) this epoch.
@@ -359,10 +383,8 @@ class NoisyViewCache:
         is a free deterministic reconstruction, so it must not be charged
         again.
         """
-        return np.array(
-            [int(v) for v in vertices if int(v) not in self._drawn_vertices],
-            dtype=np.int64,
-        )
+        vertices = np.asarray(vertices, dtype=np.int64)
+        return vertices[~self._drawn_vertices[vertices]]
 
     def resolve_views(
         self,
@@ -437,8 +459,8 @@ class NoisyViewCache:
         if vertices.size == 0:
             return 0
         if self.bounded:
-            self.stats.recharges += sum(
-                1 for v in vertices if int(v) in self._drawn_vertices
+            self.stats.recharges += int(
+                np.count_nonzero(self._drawn_vertices[vertices])
             )
         if self.mode is ExecutionMode.SKETCH_VIEW:
             stream = (
@@ -537,13 +559,15 @@ class NoisyViewCache:
         self._drop_view(vertex)
         self._views[vertex] = view
         self._bytes += view.nbytes
-        self._drawn_vertices.add(vertex)
+        self._resident[vertex] = True
+        self._drawn_vertices[vertex] = True
 
     def _drop_view(self, vertex: int) -> None:
         """Forget a resident view (the charge memory stays)."""
         dropped = self._views.pop(vertex, None)
         if dropped is not None:
             self._bytes -= dropped.nbytes
+            self._resident[vertex] = False
 
     def gather_views(self, vertices: np.ndarray) -> np.ndarray:
         """Stack the cached views of ``vertices`` into one
@@ -578,9 +602,38 @@ class NoisyViewCache:
     # ------------------------------------------------------------------
     # Sketch mode: per-pair sufficient statistics
     # ------------------------------------------------------------------
+    def pair_cached_mask(self, keys: np.ndarray) -> np.ndarray:
+        """Per ``(a, b)`` row of ``keys`` (either order): does the pair
+        hold a resident ``(N1, N2)`` draw this epoch?"""
+        return sorted_member(self._codes, self._pair_codes(keys))
+
     def has_pair(self, a: int, b: int) -> bool:
         """True when the pair holds a resident ``(N1, N2)`` draw this epoch."""
-        return self._key(a, b) in self._pair_counts
+        return self._in_layer(a, b) and bool(self.pair_cached_mask((a, b))[0])
+
+    def gather_pair_counts(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cached ``(N1, N2)`` draws of every ``(a, b)`` row of ``keys``
+        as two int64 arrays — the pair store's touching read.
+
+        Rows touch their entries' LRU stamps in order (a key repeated in
+        ``keys`` keeps the stamp of its last row) and count one warm-set
+        touch per endpoint per row.
+
+        Raises
+        ------
+        KeyError
+            If a key holds no resident entry (check :meth:`pair_cached_mask`);
+            nothing is touched then.
+        """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        at = sorted_find(self._codes, self._pair_codes(keys))
+        if np.any(at < 0):
+            raise KeyError(self._key(*keys[np.argmax(at < 0)]))
+        stamps = self._clock + np.arange(at.size, dtype=np.int64)
+        self._clock += at.size
+        np.maximum.at(self._stamp, at, stamps)
+        np.add.at(self._touches, keys.ravel(), 1)
+        return self._n1[at], self._n2[at]
 
     def pair_counts(self, a: int, b: int) -> tuple[int, int]:
         """The cached ``(N1, N2)`` draw for a pair (touches its LRU slot).
@@ -590,44 +643,60 @@ class NoisyViewCache:
         KeyError
             If the pair holds no resident entry (check :meth:`has_pair`).
         """
-        key = self._key(a, b)
-        self._pair_counts.move_to_end(key)
-        self._touches[key[0]] += 1
-        self._touches[key[1]] += 1
-        return self._pair_counts[key]
+        if not self._in_layer(a, b):
+            raise KeyError(self._key(a, b))
+        n1, n2 = self.gather_pair_counts((a, b))
+        return int(n1[0]), int(n2[0])
 
     def unseen_pairs(self, keys: np.ndarray) -> np.ndarray:
-        """The subset of pair ``keys`` never drawn (= charged) this epoch.
+        """The ``(a, b)`` rows of ``keys`` never drawn (= charged) this epoch.
 
         Mirrors :meth:`uncharged` at pair granularity: an evicted pair's
         redraw is deterministic and free, so only genuinely new pairs
         recharge their endpoints.
         """
-        fresh = [
-            (int(k[0]), int(k[1]))
-            for k in keys
-            if (int(k[0]), int(k[1])) not in self._drawn_pairs
-        ]
-        return (
-            np.array(fresh, dtype=np.int64)
-            if fresh
-            else np.empty((0, 2), dtype=np.int64)
-        )
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        return keys[~sorted_member(self._drawn_codes, self._pair_codes(keys))]
 
     def store_pair_counts(
         self, keys: np.ndarray, n1: np.ndarray, n2: np.ndarray
     ) -> None:
-        """Adopt freshly drawn per-pair counts (keys from ``pair_keys``)."""
-        for i in range(len(keys)):
-            key = (int(keys[i][0]), int(keys[i][1]))
-            self._store_pair(key, (int(n1[i]), int(n2[i])))
+        """Adopt freshly drawn per-pair counts (keys from ``pair_keys``).
 
-    def _store_pair(self, key: tuple[int, int], counts: tuple[int, int]) -> None:
-        if key not in self._pair_counts:
-            self._bytes += _PAIR_ENTRY_BYTES
-        self._pair_counts[key] = counts
-        self._pair_counts.move_to_end(key)
-        self._drawn_pairs.add(key)
+        One sorted insertion for the whole block. Rows store in order: a
+        key repeated in ``keys`` keeps the counts and LRU stamp of its
+        last row. Every stored key joins the epoch's charge memory.
+        """
+        codes = self._pair_codes(keys)
+        if codes.size == 0:
+            return
+        stamps = self._clock + np.arange(codes.size, dtype=np.int64)
+        self._clock += codes.size
+        # The last row of each distinct code: a stable sort keeps each
+        # run of equal codes in row order.
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        last = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=last[:-1])
+        rows = order[last]
+        codes = codes[last]
+        n1 = np.asarray(n1, dtype=np.int64)[rows]
+        n2 = np.asarray(n2, dtype=np.int64)[rows]
+        stamps = stamps[rows]
+        at = sorted_find(self._codes, codes)
+        old = at >= 0
+        self._n1[at[old]] = n1[old]
+        self._n2[at[old]] = n2[old]
+        self._stamp[at[old]] = stamps[old]
+        new = ~old
+        if new.any():
+            where = np.searchsorted(self._codes, codes[new])
+            self._codes = np.insert(self._codes, where, codes[new])
+            self._n1 = np.insert(self._n1, where, n1[new])
+            self._n2 = np.insert(self._n2, where, n2[new])
+            self._stamp = np.insert(self._stamp, where, stamps[new])
+            self._bytes += _PAIR_ENTRY_BYTES * int(np.count_nonzero(new))
+        self._drawn_codes = sorted_union(self._drawn_codes, codes)
 
     def sketch_fresh(
         self, keys: np.ndarray, rng: RngLike = None
@@ -658,13 +727,17 @@ class NoisyViewCache:
             )
             self.store_pair_counts(keys, n1, n2)
             return n1, n2, int(sizes.sum())
+        if self.bounded:
+            # Every row but the first of each key never drawn this epoch
+            # replays a drawn pair: a recharge.
+            fresh = sorted_unique(self._pair_codes(keys))
+            self.stats.recharges += len(keys) - int(
+                np.count_nonzero(~sorted_member(self._drawn_codes, fresh))
+            )
         n1 = np.empty(len(keys), dtype=np.int64)
         n2 = np.empty(len(keys), dtype=np.int64)
         total = 0
-        for i, key in enumerate(keys):
-            key = (int(key[0]), int(key[1]))
-            if self.bounded and key in self._drawn_pairs:
-                self.stats.recharges += 1
+        for i, key in enumerate(keys.tolist()):
             keyed = keyed_pair_generator(
                 self._entropy, self.draw_epoch, *key,
                 version=int(self._versions[key[0]] + self._versions[key[1]]),
@@ -679,8 +752,8 @@ class NoisyViewCache:
                 keyed,
             )
             n1[i], n2[i] = int(pair_n1[0]), int(pair_n2[0])
-            self._store_pair(key, (n1[i], n2[i]))
             total += int(sizes.sum())
+        self.store_pair_counts(keys, n1, n2)
         return n1, n2, total
 
     @staticmethod
@@ -692,18 +765,39 @@ class NoisyViewCache:
         """Order-normalized cache key of a (symmetric) pair."""
         return self._key(a, b)
 
-    def pair_charge_free(self, a: int, b: int) -> bool:
-        """True when serving this pair will charge no privacy budget.
+    def _pair_codes(self, keys: np.ndarray) -> np.ndarray:
+        """``min(a, b) * n + max(a, b)`` per ``(a, b)`` row of ``keys``."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        a, b = keys[:, 0], keys[:, 1]
+        return encode(np.minimum(a, b), np.maximum(a, b), self._span)
+
+    def _in_layer(self, *vertices: int) -> bool:
+        """True when every id is a vertex of the serving layer (the
+        scalar reads' guard: out-of-range ids are never cached)."""
+        return all(0 <= int(v) < self._span for v in vertices)
+
+    def pair_charge_free_mask(self, keys: np.ndarray) -> np.ndarray:
+        """Per ``(a, b)`` row of ``keys``: will serving the pair charge no
+        privacy budget?
 
         Resident pairs replay their stored draw; in a bounded cache an
         evicted-but-drawn pair reconstructs it deterministically. Either
         way the accountant sees nothing.
         """
-        return self._key(a, b) in self._drawn_pairs or self.has_pair(a, b)
+        return sorted_member(self._drawn_codes, self._pair_codes(keys))
+
+    def pair_charge_free(self, a: int, b: int) -> bool:
+        """True when serving this pair will charge no privacy budget."""
+        return self._in_layer(a, b) and bool(self.pair_charge_free_mask((a, b))[0])
+
+    def vertex_charge_free_mask(self, vertices: np.ndarray) -> np.ndarray:
+        """Per entry (any shape): will serving the vertex's view charge no
+        privacy budget (resident, or evicted but drawn this epoch)?"""
+        return self._drawn_vertices[np.asarray(vertices, dtype=np.int64)]
 
     def vertex_charge_free(self, vertex: int) -> bool:
         """True when serving this vertex will charge no privacy budget."""
-        return int(vertex) in self._drawn_vertices or self.has_view(vertex)
+        return self._in_layer(vertex) and bool(self._drawn_vertices[int(vertex)])
 
     # ------------------------------------------------------------------
     # Noisy degrees (either mode; used by the serving degree option)
@@ -728,31 +822,34 @@ class NoisyViewCache:
         self._degrees.move_to_end(vertex)
         return self._degrees[vertex]
 
-    def degree_charge_free(self, vertex: int) -> bool:
-        """True when releasing this vertex's degree charges no budget.
+    def degree_charge_free_mask(self, vertices: np.ndarray) -> np.ndarray:
+        """Per entry (any shape): will releasing the vertex's degree charge
+        no budget?
 
         Resident degrees replay their stored release; in a bounded cache
         an evicted-but-drawn degree reconstructs it deterministically.
         """
-        return int(vertex) in self._drawn_degrees or self.has_degree(vertex)
+        return self._drawn_degrees[np.asarray(vertices, dtype=np.int64)]
+
+    def degree_charge_free(self, vertex: int) -> bool:
+        """True when releasing this vertex's degree charges no budget."""
+        return self._in_layer(vertex) and bool(self._drawn_degrees[int(vertex)])
 
     def uncharged_degrees(self, vertices: np.ndarray) -> np.ndarray:
         """The subset of ``vertices`` with no degree drawn (= charged)
         this epoch — :meth:`uncharged` at degree granularity."""
-        return np.array(
-            [int(v) for v in vertices if int(v) not in self._drawn_degrees],
-            dtype=np.int64,
-        )
+        vertices = np.asarray(vertices, dtype=np.int64)
+        return vertices[~self._drawn_degrees[vertices]]
 
     def store_degrees(self, vertices: np.ndarray, values: np.ndarray) -> None:
         """Adopt freshly released noisy degrees as this epoch's entries."""
-        for vertex, value in zip(vertices, values):
-            vertex = int(vertex)
+        vertices = np.asarray(vertices, dtype=np.int64)
+        for vertex, value in zip(vertices.tolist(), values):
             if vertex not in self._degrees:
                 self._bytes += _DEGREE_ENTRY_BYTES
             self._degrees[vertex] = float(value)
             self._degrees.move_to_end(vertex)
-            self._drawn_degrees.add(vertex)
+        self._drawn_degrees[vertices] = True
 
     def degree_fresh(
         self,
@@ -778,8 +875,8 @@ class NoisyViewCache:
             values = mechanism.release_many(true, ensure_rng(rng))
         else:
             if self.bounded:
-                self.stats.recharges += sum(
-                    1 for v in vertices if int(v) in self._drawn_degrees
+                self.stats.recharges += int(
+                    np.count_nonzero(self._drawn_degrees[vertices])
                 )
             values = true + keyed_laplace_noise(
                 self._entropy, self.draw_epoch, vertices, mechanism.scale,
@@ -805,7 +902,7 @@ class NoisyViewCache:
 
     def entries(self) -> int:
         """Resident cache entries (vertex views, pair draws, and degrees)."""
-        return len(self._views) + len(self._pair_counts) + len(self._degrees)
+        return len(self._views) + int(self._codes.size) + len(self._degrees)
 
     def over_budget(self) -> bool:
         """True when either configured bound is currently exceeded."""
@@ -844,9 +941,7 @@ class NoisyViewCache:
         pinned_vertices = {
             v for key in pin for v in (key if isinstance(key, tuple) else (key,))
         }
-        store = (
-            self._pair_counts if self.mode is ExecutionMode.SKETCH else self._views
-        )
+        store = self._views
         while self.over_budget():
             self.stats.eviction_batches += 1
             victim = next(
@@ -857,14 +952,12 @@ class NoisyViewCache:
                 self._bytes -= _DEGREE_ENTRY_BYTES
                 evicted += 1
                 continue
+            if self.mode is ExecutionMode.SKETCH:
+                evicted += self._evict_pairs(pin)
+                break
             victim = next((k for k in store if k not in pin), None)
             if victim is None:
                 break
-            if store is self._pair_counts:
-                store.pop(victim)
-                self._bytes -= _PAIR_ENTRY_BYTES
-                evicted += 1
-                continue
             group = self._shard_group.get(victim)
             batch = (
                 [victim]
@@ -879,6 +972,55 @@ class NoisyViewCache:
             evicted += len(batch)
         self.stats.evictions += evicted
         return evicted
+
+    def _evict_pairs(self, pin: frozenset | set) -> int:
+        """Drop the least recently touched unpinned pair entries until the
+        budget fits (or none is left), in one pass; returns the count.
+
+        Called over budget with no evictable degree left, after one victim
+        selection was counted. Each pair entry frees the same bytes and
+        one entry, so the number to drop is known up front; victims leave
+        in ascending stamp order, exactly as one-at-a-time LRU eviction
+        would pick them, and ``stats.eviction_batches`` counts the scans
+        that eviction would have made.
+        """
+        need = 0
+        if self.max_bytes is not None and self._bytes > self.max_bytes:
+            need = -(-(self._bytes - self.max_bytes) // _PAIR_ENTRY_BYTES)
+        if self.max_entries is not None:
+            need = max(need, self.entries() - self.max_entries)
+        pinned = np.array(
+            [
+                key for key in pin
+                if isinstance(key, tuple) and 0 <= key[0] <= key[1] < self._span
+            ],
+            dtype=np.int64,
+        )
+        candidates = np.flatnonzero(
+            ~sorted_member(np.sort(self._pair_codes(pinned)), self._codes)
+        )
+        victims = candidates[np.argsort(self._stamp[candidates])[:need]]
+        # One scan per victim, plus the scan that finds none left.
+        self.stats.eviction_batches += min(need - 1, candidates.size)
+        if victims.size:
+            keep = np.ones(self._codes.size, dtype=bool)
+            keep[victims] = False
+            self._keep_pairs(keep)
+        return int(victims.size)
+
+    def _clear_pairs(self) -> None:
+        """Empty the pair store and the pair charge memory."""
+        self._codes, self._n1, self._n2, self._stamp, self._drawn_codes = (
+            np.empty(0, dtype=np.int64) for _ in range(5)
+        )
+
+    def _keep_pairs(self, keep: np.ndarray) -> None:
+        """Shrink the pair store to the entries flagged in ``keep``."""
+        self._bytes -= _PAIR_ENTRY_BYTES * int(keep.size - np.count_nonzero(keep))
+        self._codes = self._codes[keep]
+        self._n1 = self._n1[keep]
+        self._n2 = self._n2[keep]
+        self._stamp = self._stamp[keep]
 
     # ------------------------------------------------------------------
     def check_compatible(
@@ -927,7 +1069,7 @@ class NoisyViewCache:
 
     def cached_pairs(self) -> int:
         """Resident sketch-mode pair entries."""
-        return len(self._pair_counts)
+        return int(self._codes.size)
 
     def hottest_last_epoch(self, k: int) -> list[int]:
         """The ``k`` hottest vertices as of the latest :meth:`rotate`
@@ -1027,11 +1169,11 @@ class NoisyViewCache:
         if pending is not None and not pending.is_net_empty:
             return self._rotate_incremental(pending)
         self._views.clear()
-        self._pair_counts.clear()
+        self._resident.fill(False)
+        self._clear_pairs()
         self._degrees.clear()
-        self._drawn_vertices.clear()
-        self._drawn_pairs.clear()
-        self._drawn_degrees.clear()
+        self._drawn_vertices.fill(False)
+        self._drawn_degrees.fill(False)
         self._shard_group.clear()
         self._bytes = 0
         self.stats.rotations += 1
@@ -1043,26 +1185,22 @@ class NoisyViewCache:
     def _rotate_incremental(self, pending: DeltaLog) -> int:
         """Apply a net-nonempty delta and drop only its dirty vertices."""
         new_graph = pending.apply()
-        dirty = pending.dirty_vertices(self.layer)
-        dirty_set = {int(v) for v in dirty}
+        dirty = sorted_unique(pending.dirty_vertices(self.layer))
         self._versions[dirty] += np.uint64(1)
-        for v in dirty_set:
+        for v in dirty.tolist():
             self._drop_view(v)
             if self._degrees.pop(v, None) is not None:
                 self._bytes -= _DEGREE_ENTRY_BYTES
-        stale_pairs = [
-            k for k in self._pair_counts
-            if k[0] in dirty_set or k[1] in dirty_set
+        self._drawn_vertices[dirty] = False
+        self._drawn_degrees[dirty] = False
+        # A pair is stale when either half of its code is dirty: one
+        # dense dirty-mask gather per half.
+        dirty_mask = np.zeros(self._span, dtype=bool)
+        dirty_mask[dirty] = True
+        self._keep_pairs(self._clean_pairs(self._codes, dirty_mask))
+        self._drawn_codes = self._drawn_codes[
+            self._clean_pairs(self._drawn_codes, dirty_mask)
         ]
-        for key in stale_pairs:
-            self._pair_counts.pop(key)
-            self._bytes -= _PAIR_ENTRY_BYTES
-        self._drawn_vertices -= dirty_set
-        self._drawn_degrees -= dirty_set
-        self._drawn_pairs = {
-            k for k in self._drawn_pairs
-            if k[0] not in dirty_set and k[1] not in dirty_set
-        }
         self.graph = new_graph
         if self.shard_runner is not None:
             # The delta rides along so a socket transport can resync its
@@ -1076,19 +1214,24 @@ class NoisyViewCache:
         # draw_epoch stays pinned: clean vertices replay their streams.
         self.last_rotation = {
             "incremental": True,
-            "dirty": len(dirty_set),
-            "dirty_vertices": np.asarray(sorted(dirty_set), dtype=np.int64),
+            "dirty": int(dirty.size),
+            "dirty_vertices": dirty,
             "inserts": int(len(pending.net_inserts())),
             "deletes": int(len(pending.net_deletes())),
             "recorded": len(pending),
         }
         return self.epoch
 
+    def _clean_pairs(self, codes: np.ndarray, dirty_mask: np.ndarray) -> np.ndarray:
+        """Per pair code: are both of its vertices clean?"""
+        a, b = decode(codes, self._span)
+        return ~(dirty_mask[a] | dirty_mask[b])
+
     def __repr__(self) -> str:
         return (
             f"NoisyViewCache(layer={self.layer.value}, mode={self.mode.value}, "
             f"epsilon={self.epsilon:g}, epoch={self.epoch}, "
-            f"views={len(self._views)}, pairs={len(self._pair_counts)}, "
+            f"views={len(self._views)}, pairs={self._codes.size}, "
             f"bytes={self._bytes}"
             + (
                 f"/{self.max_bytes}" if self.max_bytes is not None else ""

@@ -37,10 +37,12 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from repro.engine.core import BatchQueryEngine
+from repro.engine.planner import pair_endpoints
 from repro.engine.sharded import ShardedRunner
 from repro.engine.transport import ShardTransport, make_transport
 from repro.engine.sketches import SketchConfig
@@ -877,27 +879,35 @@ class QueryServer:
         self,
         batch: list[tuple[QueryPair, str | None, asyncio.Future, float | None]],
     ) -> None:
+        # The tick's pairs and their (n, 2) endpoint block, read once at
+        # C level; admission and the hit flags both read the block.
+        pairs = list(map(itemgetter(0), batch))
+        endpoints = pair_endpoints(pairs)
         admission = tagged = None
         if self.tenants is not None:
-            tagged = [(pair, tenant) for pair, tenant, _, _ in batch]
+            tagged = list(zip(pairs, map(itemgetter(1), batch)))
             admission = self.tenants.admit(
-                tagged, self.cache, degree_epsilon=self.degree_epsilon
+                tagged, self.cache, degree_epsilon=self.degree_epsilon,
+                endpoints=endpoints,
             )
             for position, exc in admission.rejected:
                 future = batch[position][2]
                 if not future.done():
                     future.set_exception(exc)
             self.stats.queries_rejected += len(admission.rejected)
-            batch = [batch[position] for position in admission.admitted]
+            if admission.rejected:
+                admitted = list(admission.admitted)
+                batch = [batch[position] for position in admitted]
+                pairs = [pairs[position] for position in admitted]
+                endpoints = endpoints[admitted]
             if not batch:
                 return
-        pairs = [pair for pair, _, _, _ in batch]
         epoch = self.cache.epoch
         self.stats.ticks += 1
         self.stats.ticks_in_epoch += 1
         self.stats.max_coalesced = max(self.stats.max_coalesced, len(batch))
         tick = self.stats.ticks
-        hits = self._pre_tick_hits(pairs)
+        hits = self._pre_tick_hits(endpoints)
         try:
             result = await self._run_engine(pairs)
             degrees = self._release_degrees(result.vertices)
@@ -911,22 +921,29 @@ class QueryServer:
                 if not future.done():
                     future.set_exception(exc)
             return
+        hits = hits.tolist()
         if self.tenants is not None:
-            self.tenants.settle(
-                [(pair, tenant) for pair, tenant, _, _ in batch], hits
-            )
-        for j, (pair, tenant, future, _) in enumerate(batch):
+            self.tenants.settle(list(zip(pairs, map(itemgetter(1), batch))), hits)
+        # Result columns as Python scalars in one conversion each.
+        columns = zip(
+            batch,
+            result.values.tolist(),
+            result.noisy_intersections.tolist(),
+            result.noisy_unions.tolist(),
+            hits,
+        )
+        for (pair, tenant, future, _), value, n1, n2, hit in columns:
             estimate = ServedEstimate(
                 pair=pair,
-                value=float(result.values[j]),
-                noisy_intersection=int(result.noisy_intersections[j]),
-                noisy_union=int(result.noisy_unions[j]),
+                value=value,
+                noisy_intersection=n1,
+                noisy_union=n2,
                 epoch=epoch,
                 tick=tick,
-                cache_hit=hits[j],
+                cache_hit=hit,
                 epsilon=self.epsilon,
-                noisy_degree_a=None if degrees is None else degrees[pair.a],
-                noisy_degree_b=None if degrees is None else degrees[pair.b],
+                noisy_degree_a=None if degrees is None else degrees[pair[1]],
+                noisy_degree_b=None if degrees is None else degrees[pair[2]],
                 tenant=tenant,
             )
             if not future.done():
@@ -1014,13 +1031,13 @@ class QueryServer:
         self._tick_busy = False
         self._tick_idle.set()
 
-    def _pre_tick_hits(self, pairs: list[QueryPair]) -> list[bool]:
-        """Per-caller hit flags, taken before the tick mutates the cache."""
+    def _pre_tick_hits(self, endpoints: np.ndarray) -> np.ndarray:
+        """Per-caller hit flags over the tick's ``(n, 2)`` endpoint block,
+        taken before the tick mutates the cache: a resident pair draw in
+        sketch mode, both endpoints' views resident otherwise."""
         if self.mode is ExecutionMode.SKETCH:
-            return [self.cache.has_pair(p.a, p.b) for p in pairs]
-        return [
-            self.cache.has_view(p.a) and self.cache.has_view(p.b) for p in pairs
-        ]
+            return self.cache.pair_cached_mask(endpoints)
+        return self.cache.vertex_cached_mask(endpoints).all(axis=1)
 
     def _release_degrees(self, vertices: np.ndarray) -> dict[int, float] | None:
         """Epoch-cached noisy degrees for the tick's distinct vertices.

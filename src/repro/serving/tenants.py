@@ -28,9 +28,14 @@ for every tenant afterwards.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
+from repro.engine.planner import pair_endpoints
 from repro.errors import BudgetExceededError, ProtocolError
 from repro.graph.sampling import QueryPair
 from repro.privacy.composition import QueryBudgetManager
@@ -190,6 +195,7 @@ class TenantRegistry:
         cache: "NoisyViewCache",
         *,
         degree_epsilon: float | None = None,
+        endpoints: np.ndarray | None = None,
     ) -> Admission:
         """Decide one tick: who is served, who pays for what, who is refused.
 
@@ -204,6 +210,14 @@ class TenantRegistry:
         the next query that needs the same vertices); everything else is
         debited immediately.
 
+        The cache answers which queries are charge-free (every view —
+        or, in sketch mode, the pair — and, with ``degree_epsilon``,
+        every degree already drawn this epoch) in one vectorized read
+        over the tick's ``(n, 2)`` ``endpoints`` block (built from
+        ``queries`` when not given). Those queries cost 0, a debit that
+        is free and never refused; the arrival-order first-payer walk
+        runs only over the rest.
+
         Returns the :class:`Admission`; tenant ``stats`` are updated for
         queries and rejections (hit/miss counts land post-serve via
         :meth:`settle`).
@@ -214,6 +228,24 @@ class TenantRegistry:
             If a query names an unregistered tenant.
         """
         epsilon = cache.epsilon
+        if endpoints is None:
+            endpoints = pair_endpoints(list(map(itemgetter(0), queries)))
+        sketch = cache.mode is ExecutionMode.SKETCH
+        # Charge-free flags per query (sketch: the pair) or per endpoint.
+        view_free = (
+            cache.pair_charge_free_mask(endpoints)
+            if sketch
+            else cache.vertex_charge_free_mask(endpoints)
+        )
+        free = view_free if sketch else view_free.all(axis=1)
+        if degree_epsilon is not None:
+            # Drawn, not resident: an evicted-but-drawn degree reconstructs
+            # privacy-free, so no tenant pays for it (keeping tenant
+            # debits == accountant charges).
+            degree_free = cache.degree_charge_free_mask(endpoints)
+            free = free & degree_free.all(axis=1)
+            degree_free = degree_free.tolist()
+        view_free = view_free.tolist()
         covered_vertices: set[int] = set()
         covered_pairs: set[tuple[int, int]] = set()
         covered_degrees: set[int] = set()
@@ -221,32 +253,33 @@ class TenantRegistry:
         rejected: list[tuple[int, BudgetExceededError]] = []
         costs: list[float] = []
         vertex_counts: list[int] = []
-        for i, (pair, name) in enumerate(queries):
+        for i, ((pair, name), is_free) in enumerate(zip(queries, free.tolist())):
             tenant = self.get(name)
             tenant.stats.queries += 1
+            if is_free:
+                admitted.append(i)
+                costs.append(0.0)
+                vertex_counts.append(0)
+                continue
+            a, b = pair[1], pair[2]
             fresh_vertices: list[int] = []
             fresh_pair = None
-            if cache.mode is not ExecutionMode.SKETCH:
-                for v in (int(pair.a), int(pair.b)):
-                    if v in covered_vertices or cache.vertex_charge_free(v):
+            if not sketch:
+                for v, charge_free in zip((a, b), view_free[i]):
+                    if v in covered_vertices or charge_free:
                         continue
                     fresh_vertices.append(v)
             else:
-                key = cache.pair_key(pair.a, pair.b)
-                if key not in covered_pairs and not cache.pair_charge_free(
-                    pair.a, pair.b
-                ):
+                key = (a, b) if a <= b else (b, a)
+                if key not in covered_pairs and not view_free[i]:
                     fresh_pair = key
                     for v in key:
                         if v not in covered_vertices:
                             fresh_vertices.append(v)
             fresh_degrees: list[int] = []
             if degree_epsilon is not None:
-                # degree_charge_free, not has_degree: an evicted-but-drawn
-                # degree reconstructs privacy-free, so no tenant pays for
-                # it (keeping tenant debits == accountant charges).
-                for v in (int(pair.a), int(pair.b)):
-                    if v in covered_degrees or cache.degree_charge_free(v):
+                for v, charge_free in zip((a, b), degree_free[i]):
+                    if v in covered_degrees or charge_free:
                         continue
                     fresh_degrees.append(v)
             cost = epsilon * len(fresh_vertices) + (degree_epsilon or 0.0) * len(
@@ -302,12 +335,14 @@ class TenantRegistry:
         self, queries: Sequence[tuple[QueryPair, str]], hits: Sequence[bool]
     ) -> None:
         """Record post-serve hit/miss outcomes for the served queries."""
-        for (_, name), hit in zip(queries, hits):
+        for (name, hit), count in Counter(
+            zip(map(itemgetter(1), queries), hits)
+        ).items():
             stats = self.get(name).stats
             if hit:
-                stats.hits += 1
+                stats.hits += count
             else:
-                stats.misses += 1
+                stats.misses += count
 
     # ------------------------------------------------------------------
     def report(self) -> str:

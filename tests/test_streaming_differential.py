@@ -277,7 +277,7 @@ class TestPairSketchDifferential:
         pairs = [(0, 1), (2, 9), (4, 17), (1, 9)]
         keys = np.array(pairs, dtype=np.int64)
         cache.sketch_fresh(keys)
-        before = {k: cache._pair_counts[k] for k in map(tuple, pairs)}
+        before = {k: cache.pair_counts(*k) for k in map(tuple, pairs)}
         dirty_sets, all_incremental = _run_script(cache, script)
         ever_dirty = set().union(*dirty_sets)
 
@@ -286,7 +286,7 @@ class TestPairSketchDifferential:
             clean = a not in ever_dirty and b not in ever_dirty
             if clean and all_incremental:
                 assert cache.has_pair(a, b)
-                assert cache._pair_counts[key] == before[key]
+                assert cache.pair_counts(*key) == before[key]
             if not cache.has_pair(a, b):
                 cache.sketch_fresh(np.array([key], dtype=np.int64))
             # From-scratch oracle on the mutated graph with the combined
@@ -299,7 +299,7 @@ class TestPairSketchDifferential:
                 cache.graph, Layer.UPPER, np.array(key, dtype=np.int64),
                 np.array([0]), np.array([1]), EPSILON, keyed,
             )
-            assert cache._pair_counts[key] == (int(n1[0]), int(n2[0]))
+            assert cache.pair_counts(*key) == (int(n1[0]), int(n2[0]))
 
 
 class TestDegreeDifferential:
