@@ -9,8 +9,8 @@ pins the two claims the sharding layer makes:
 * **wall-clock speedup** — a 2-worker draw of a large miss burst must be
   >= 1.6x the single-process keyed pass (and a 4-worker draw must keep
   scaling when the machine has the cores). Fragments come back through
-  shared memory, so the fan-out costs one parent-side memcpy, not a
-  pipe-interleaved pickle.
+  the pool's result pipe, CRC32-checked; the fragment-shipping row of
+  ``bench_transport.py`` times that return against inline and socket.
 * **bounded per-worker memory** — with a ``mem_bytes`` shard budget,
   every worker's tracemalloc peak during its draw stays within the
   budget times the kernel's scratch factor (measured ~6.1x: counters,

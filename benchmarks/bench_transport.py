@@ -1,13 +1,18 @@
 """Transport substrates: fork vs socket overhead, in-worker reduction win.
 
 The pluggable :class:`~repro.engine.transport.ShardTransport` layer
-claims two things this benchmark pins:
+claims three things this benchmark pins or reports:
 
-* **substrate overhead** — the same keyed draw through the inline, fork
-  and socket-loopback substrates returns byte-identical output, and the
-  wall-clock cost of each substrate is reported side by side (fork pays
-  pool forking + shm handoff; socket pays TCP framing + a one-time
-  GRAPH install per worker).
+* **substrate overhead** — the same keyed workload through the inline,
+  fork and socket-loopback substrates returns byte-identical output,
+  and the wall-clock cost of each substrate is reported side by side
+  (fork pays pool forking + the result pipe; socket pays TCP framing +
+  a one-time GRAPH install per worker).
+* **fragment shipping** — the same :meth:`ShardedRunner.draw` of the
+  burst, where every range returns its whole noisy CSR fragment to the
+  parent, timed through each substrate. This is the case that moves the
+  most bytes per answer; the row reports times and asserts byte
+  identity, with no floor.
 * **in-worker diagonal reduction** — on a pair-dense workload whose
   pairs all live inside their shard, workers reduce ``N1`` locally and
   return scalars instead of noisy CSR fragments. The bytes that actually
@@ -116,6 +121,9 @@ def run_transport_bench() -> tuple[str, dict]:
         entropy=ENTROPY, epoch=0, ia=ia, ib=ib, domain=graph.num_lower
     )
 
+    def draw_all(runner):
+        return runner.draw(plan, EPSILON, entropy=ENTROPY, epoch=0)
+
     rows: dict = {"pairs": int(ia.size), "cpus": os.cpu_count() or 1}
     lines = [
         f"{BURST}-vertex burst, {ia.size} diagonal pairs over {SHARDS} "
@@ -132,6 +140,7 @@ def run_transport_bench() -> tuple[str, dict]:
         t_inline, ref = _best(
             lambda: runner.run_workload(plan, EPSILON, **kwargs)
         )
+        frag_times = {"inline": _best(lambda: draw_all(runner))}
     rows["inline_s"] = t_inline
     lines.append(f"{'inline (no processes)':<28} {t_inline:>9.3f} {'-':>16}")
 
@@ -144,11 +153,12 @@ def run_transport_bench() -> tuple[str, dict]:
             t_fork, fork_draw = _best(
                 lambda: runner.run_workload(plan, EPSILON, **kwargs)
             )
+            frag_times["fork"] = _best(lambda: draw_all(runner))
         draws["fork"] = fork_draw
         rows["fork_s"] = t_fork
         rows["fork_bytes_to_parent"] = fork_draw.transport["bytes_to_parent"]
         lines.append(
-            f"{'fork (2 workers, shm)':<28} {t_fork:>9.3f} "
+            f"{'fork (2 workers, pipe)':<28} {t_fork:>9.3f} "
             f"{fork_draw.transport['bytes_to_parent']:>16,}"
         )
 
@@ -162,6 +172,7 @@ def run_transport_bench() -> tuple[str, dict]:
             t_socket, socket_draw = _best(
                 lambda: runner.run_workload(plan, EPSILON, **kwargs)
             )
+            frag_times["socket"] = _best(lambda: draw_all(runner))
     finally:
         for proc, _ in procs:
             proc.terminate()
@@ -185,6 +196,30 @@ def run_transport_bench() -> tuple[str, dict]:
         np.testing.assert_array_equal(ref.n1, draw.n1, err_msg=name)
         np.testing.assert_array_equal(ref.sizes, draw.sizes, err_msg=name)
 
+    # Fragment shipping: every range's noisy CSR crosses to the parent.
+    _, frag_ref = frag_times["inline"]
+    frag_mb = (frag_ref.columns.nbytes + frag_ref.indptr.nbytes) / 1e6
+    lines += [
+        "",
+        f"fragment shipping: draw() of the same burst, every fragment "
+        f"to the parent ({frag_mb:.1f} MB)",
+        f"{'substrate':<28} {'seconds':>9}",
+    ]
+    labels = {
+        "inline": "inline (no processes)",
+        "fork": "fork (2 workers, pipe)",
+        "socket": "socket (2 loopback workers)",
+    }
+    for name, (seconds, frag_draw) in frag_times.items():
+        np.testing.assert_array_equal(
+            frag_ref.indptr, frag_draw.indptr, err_msg=name
+        )
+        np.testing.assert_array_equal(
+            frag_ref.columns, frag_draw.columns, err_msg=name
+        )
+        rows[f"draw_{name}_s"] = seconds
+        lines.append(f"{labels[name]:<28} {seconds:>9.3f}")
+
     # The reduction win: what the fragments would have cost vs what the
     # reduced scalars actually cost across the wire.
     shipped = detail["bytes_to_parent"]
@@ -206,8 +241,9 @@ def run_transport_bench() -> tuple[str, dict]:
 def test_transport_bench(emit):
     text, rows = run_transport_bench()
     emit("transport", text)
-    # Byte-identity across substrates was asserted inside the run; the
-    # contract pinned here is the traffic win of in-worker reduction.
+    # Byte-identity across substrates (fragment shipping included) was
+    # asserted inside the run; the contract pinned here is the traffic
+    # win of in-worker reduction.
     assert rows["reduced_shards"] == SHARDS, (
         "an all-diagonal workload must reduce every shard in-worker"
     )

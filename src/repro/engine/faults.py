@@ -1,7 +1,7 @@
 """Deterministic chaos injection for sharded execution.
 
 The resilience layer in :mod:`repro.engine.sharded` claims that *any*
-schedule of worker failures — deaths, stalls, corrupted fragments — is
+schedule of worker failures — deaths, stalls, corrupted answers — is
 invisible in the served bits, because every shard task is a pure
 function of ``(graph, range, epsilon, entropy, epoch)`` under the keyed
 Philox contract. That claim is only worth anything if failures can be
@@ -9,39 +9,41 @@ produced on demand, reproducibly, inside tests and benchmarks. This
 module provides that: a :class:`FaultPlan` names exactly which shard
 tasks fail, how, and on which dispatch attempt.
 
-The plan crosses the fork boundary through an environment variable
+The plan crosses the process boundary through an environment variable
 (:data:`FAULT_PLAN_ENV`): the parent installs the JSON-encoded plan
 before the worker pool forks, every forked worker inherits it, and the
-worker-side hook in ``_draw_range`` consults it per task. Because the
-hook keys on ``(shard_index, attempt)`` — both passed in the task
-arguments by the parent — a fault schedule is deterministic: "kill shard
-0 on its first dispatch" fails exactly once and the re-dispatch
-succeeds, no wall-clock or PID randomness involved.
+worker-side hooks (``transport._fork_run_spec`` for fork workers, the
+spec handler of :mod:`repro.engine.worker` for socket workers started
+with the variable set) consult it per task. Because the hook keys on
+``(shard_index, attempt)`` — both carried in the work order by the
+parent — a fault schedule is deterministic: "kill shard 0 on its first
+dispatch" fails exactly once and the re-dispatch succeeds, no
+wall-clock or PID randomness involved.
 
-Faults apply only to *pool* tasks. The runner's terminal inline
+Faults apply only to *worker* tasks. The runner's terminal inline
 fallback (and a 1-worker runner, which never forks) executes the same
-keyed draw in the parent with no shared-memory handoff, so there is no
-worker to kill and no payload to poison — which is also what guarantees
-that a "kill everything on every attempt" schedule still terminates
-with correct output.
+keyed draw in the parent, where no answer crosses a process boundary,
+so there is no worker to kill and no payload to poison — which is also
+what guarantees that a "kill everything on every attempt" schedule
+still terminates with correct output.
 
 Supported fault kinds:
 
 ``kill``
     The worker calls ``os._exit`` before drawing anything — the parent
-    sees ``BrokenProcessPool`` before a shared-memory segment exists.
+    sees a dead worker (``BrokenProcessPool`` on the fork pool).
 ``kill_after_write``
-    The worker dies *after* creating and filling its shared-memory
-    segment but before returning — the segment exists with no owner,
-    the exact leak window the runner's name registry sweep covers.
+    The worker draws its range, then dies before answering (a socket
+    worker dies right after sending its answer frames, and a MUTATE
+    push after acknowledging it).
 ``delay``
     The worker sleeps ``delay_s`` before drawing, tripping the parent's
-    per-task deadline (the worker then completes as a zombie; its
-    segment is reclaimed by the sweep).
+    per-task deadline; the worker then completes as a zombie whose
+    answer nobody reads.
 ``poison``
-    The worker corrupts its shared-memory payload after computing the
-    checksum of the good draw, so the parent's integrity verification
-    fails and the range is re-dispatched.
+    The worker corrupts its answer after computing the checksum of the
+    good draw (:func:`poison_payload`), so the parent's integrity
+    verification fails and the range is re-dispatched.
 """
 
 from __future__ import annotations
@@ -54,7 +56,13 @@ from typing import Iterator
 
 from repro.errors import ProtocolError
 
-__all__ = ["FAULT_PLAN_ENV", "FAULT_KINDS", "FaultAction", "FaultPlan"]
+__all__ = [
+    "FAULT_PLAN_ENV",
+    "FAULT_KINDS",
+    "FaultAction",
+    "FaultPlan",
+    "poison_payload",
+]
 
 # The env var carrying the JSON plan across the fork boundary.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -176,7 +184,7 @@ class FaultPlan:
         *,
         attempts: tuple[int, ...] | None = (0,),
     ) -> "FaultPlan":
-        """Corrupt the listed shards' shared-memory payloads."""
+        """Corrupt the listed shards' answers after their checksums."""
         targets = [None] if shards is None else shards
         return cls(
             tuple(
@@ -250,3 +258,19 @@ class FaultPlan:
             yield self
         finally:
             self.uninstall()
+
+
+def poison_payload(arrays: list, checksum: int) -> tuple[list, int]:
+    """Corrupt an answer after its checksum was taken: the ``poison`` kind.
+
+    Flips every bit of the first word of the first non-empty array (in a
+    copy), or the checksum's low bit when every array is empty, so the
+    receiver's verification must fail. Fork and socket workers share it.
+    """
+    arrays = list(arrays)
+    for i, array in enumerate(arrays):
+        if array.size:
+            arrays[i] = array.copy()
+            arrays[i][0] = ~arrays[i][0]
+            return arrays, checksum
+    return arrays, checksum ^ 1

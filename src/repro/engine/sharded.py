@@ -40,10 +40,11 @@ per-transport ``"<name>:<kind>"`` breakdowns — accumulate in
 :attr:`ShardedRunner.fault_totals`. A deterministic chaos harness for
 all of it lives in :mod:`repro.engine.faults`.
 
-The fork transport's workers inherit the graph at fork time; socket
-workers install it once over the wire, keyed by digest. Platforms
-without ``fork`` (and single-worker runners) execute the same code path
-inline, so the runner is always safe to use.
+The fork transport's workers inherit the graph at fork time and answer
+through the pool's result pipe; socket workers install it once over the
+wire, keyed by digest. Platforms without ``fork`` (and single-worker
+runners) execute the same code path inline, so the runner is always
+safe to use.
 
 See ``docs/sharding-guide.md`` for the determinism contract and
 ``docs/distributed-guide.md`` for the transport contract.
@@ -136,7 +137,7 @@ class ShardedRunner:
         ``os.cpu_count()``; a cap of 1 (or a platform without ``fork``)
         runs every range inline in the parent — same output, no
         processes. Ignored when an explicit ``transport`` is given.
-    timeout_s, max_retries, backoff_base_s, backoff_cap_s, verify_payloads:
+    timeout_s, max_retries, backoff_base_s, backoff_cap_s:
         The resilience envelope's knobs — see
         :class:`~repro.engine.transport.RetryPolicy`. They apply to
         every transport identically.
@@ -177,7 +178,6 @@ class ShardedRunner:
         max_retries: int = 2,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
-        verify_payloads: bool = True,
         transport: ShardTransport | None = None,
     ):
         if max_workers is not None and max_workers <= 0:
@@ -191,7 +191,6 @@ class ShardedRunner:
             max_retries=int(max_retries),
             backoff_base_s=float(backoff_base_s),
             backoff_cap_s=float(backoff_cap_s),
-            verify_payloads=bool(verify_payloads),
         )
         if transport is None:
             transport = ForkTransport(max_workers=max_workers)
@@ -206,7 +205,6 @@ class ShardedRunner:
         # "<transport>:<kind>" key so mixed-transport servers can see
         # which substrate faulted.
         self.fault_totals: Counter = Counter()
-        self._closed = False
 
     # -- resilience-knob views (kept as mutable attributes of record) --
     @property
@@ -241,37 +239,14 @@ class ShardedRunner:
     def backoff_cap_s(self, value: float) -> None:
         self.policy = replace(self.policy, backoff_cap_s=float(value))
 
-    @property
-    def verify_payloads(self) -> bool:
-        return self.policy.verify_payloads
-
-    @verify_payloads.setter
-    def verify_payloads(self, value: bool) -> None:
-        self.policy = replace(self.policy, verify_payloads=bool(value))
-
-    # -- transport delegations (and fork-internals compatibility) ------
+    # -- transport delegations ----------------------------------------
     @property
     def parallel(self) -> bool:
         """True when draws actually fan out to workers."""
         return self.transport.parallel
 
-    @property
-    def _token(self):
-        return getattr(self.transport, "_token", None)
-
-    @property
-    def _segments(self) -> set:
-        return getattr(self.transport, "_segments", set())
-
-    @property
-    def _retired(self) -> list:
-        return getattr(self.transport, "_retired", [])
-
-    def _reap_retired(self) -> int:
-        return self.transport.reap()
-
     def close(self) -> None:
-        """Shut the transport down and sweep its resources.
+        """Shut the transport down.
 
         Idempotent, and safe on a transport that never started (a
         serve-mode runner whose first tick never arrived). A closed
@@ -282,7 +257,6 @@ class ShardedRunner:
         transport's GC finalizer.
         """
         self.transport.close()
-        self._closed = True
 
     def rebind(self, graph: BipartiteGraph, *, delta=None) -> None:
         """Point the runner at a new graph snapshot (post-mutation).
@@ -363,8 +337,6 @@ class ShardedRunner:
         faults: dict,
         dispatches: Counter,
     ) -> dict:
-        if self._closed:
-            self._closed = False
         self.transport.bind(self.graph, self.layer)
         try:
             return drive(
@@ -438,8 +410,8 @@ class ShardedRunner:
         ReproError
             Non-fault worker exceptions (a :class:`PrivacyError` from a
             bad epsilon, a :class:`GraphError`) are *not* retried: they
-            propagate after the resource sweep, because re-dispatching a
-            deterministic bug reproduces it.
+            propagate, because re-dispatching a deterministic bug
+            reproduces it.
         """
         versions = self._check_versions(plan, versions)
         specs = self._build_specs(

@@ -1,12 +1,9 @@
 """Pluggable shard transports: *how* a shard plan's ranges execute.
 
-PR 5 welded shard execution to one substrate — a fork pool with a
-SharedMemory fragment return — and PR 6 welded the resilience envelope
-to that pool. But nothing about either is fork-specific: a shard task is
-a pure function of ``(graph, range, epsilon, entropy, epoch, versions)``
-with a byte-identity guarantee, so *where* it runs is a deployment
-decision, not a correctness one. This module carves that decision into
-three layers:
+A shard task is a pure function of ``(graph, range, epsilon, entropy,
+epoch, versions)`` with a byte-identity guarantee, so *where* it runs
+is a deployment decision, not a correctness one. This module carves
+that decision into three layers:
 
 * :class:`ShardSpec` / :class:`ShardResult` / :func:`execute_spec` —
   the work order, its answer, and the one pure compute routine every
@@ -18,28 +15,29 @@ three layers:
   (``submit(spec) -> future``, ``finalize``, ``recycle``, ``close``,
   capability flags) with three implementations:
   :class:`InlineTransport` (no processes),
-  :class:`ForkTransport` (the PR 5 fork + SharedMemory pool,
-  behavior- and byte-identical to the welded version), and
+  :class:`ForkTransport` (a fork pool whose workers inherit the graph
+  copy-on-write and answer through the pool's result pipe), and
   :class:`SocketTransport` (remote workers over TCP speaking the
   length-prefixed frames of :mod:`repro.protocol.wire`, with a
   :class:`WorkerRegistry` tracking liveness and re-dispatching ranges
-  away from dead workers).
+  away from dead workers). Fork answers and socket frames carry the
+  same CRC32 words (:func:`repro.protocol.wire.columns_checksum`,
+  :func:`repro.protocol.wire.reduced_checksum`).
 * :func:`drive` — the transport-agnostic retry driver: wave-scaled
   deadlines, keyed-Philox backoff, fault classification, CRC32
-  verification and terminal inline degradation, lifted verbatim out of
-  ``ShardedRunner`` so every transport — including ones that don't
-  exist yet — inherits the whole resilience envelope unchanged.
+  verification and terminal inline degradation, so every transport —
+  including ones that don't exist yet — inherits the whole resilience
+  envelope unchanged.
 
-Determinism note: re-dispatch is safe on *every* transport for the same
-reason it was safe on the fork pool — a retry replays the identical
-keyed stream, so a range that bounces between a dead socket worker, a
-live one, and finally the parent's inline fallback still returns the
-same bytes. ``docs/distributed-guide.md`` is the contract document.
+Determinism note: re-dispatch is safe on *every* transport because a
+retry replays the identical keyed stream, so a range that bounces
+between a dead socket worker, a live one, and finally the parent's
+inline fallback still returns the same bytes.
+``docs/distributed-guide.md`` is the contract document.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import socket
@@ -47,19 +45,17 @@ import threading
 import time
 import tracemalloc
 import weakref
-import zlib
 from collections import Counter, OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait as _wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
 from repro.engine.bulkrr import keyed_bulk_randomized_response
-from repro.engine.faults import FAULT_EXIT_CODE, FaultPlan
+from repro.engine.faults import FAULT_EXIT_CODE, FaultPlan, poison_payload
 from repro.engine.pairwise import (
     choose_backend,
     pair_id_total,
@@ -68,11 +64,6 @@ from repro.engine.pairwise import (
 from repro.errors import PayloadIntegrityError, ProtocolError
 from repro.graph.bipartite import BipartiteGraph, Layer
 from repro.protocol import wire
-
-try:  # POSIX shared memory; the fork transport exists only where it does.
-    from _posixshmem import shm_unlink as _shm_unlink
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    _shm_unlink = None
 
 __all__ = [
     "ShardSpec",
@@ -99,13 +90,6 @@ __all__ = [
 _WORKER_CONTEXTS: dict[int, tuple[BipartiteGraph, Layer]] = {}
 _NEXT_TOKEN = 0
 
-# Fork-transport segment names are unique per process: one process-wide
-# sequence, so two transports never issue the same name, under a random
-# per-process tag, so a segment leaked by an earlier process with the
-# same pid never shadows one of ours.
-_SEGMENT_SEQ = itertools.count(1)
-_SEGMENT_TAG = os.urandom(3).hex()
-
 # Keyed-stream domain tag for retry-backoff jitter ("BACK"): the jitter
 # that decorrelates retry stampedes must itself be deterministic per
 # (entropy, epoch, attempt), or reruns of the same failure schedule
@@ -115,9 +99,9 @@ _BACKOFF_TAG = 0x4241434B
 # Exceptions that classify as *worker faults* — transient, re-dispatchable
 # failures of the execution substrate rather than of the draw itself.
 # Anything else (a PrivacyError from bad epsilon, a GraphError) is a real
-# bug and propagates immediately after the segment sweep. The tuple is
-# transport-agnostic: a dead fork pool, an expired deadline, a corrupt
-# shm fragment and a refused TCP connection all land in it.
+# bug and propagates immediately. The tuple is transport-agnostic: a dead
+# fork pool, an expired deadline, a corrupt answer and a refused TCP
+# connection all land in it.
 _WORKER_FAULTS = (
     BrokenProcessPool,
     FutureTimeoutError,
@@ -154,20 +138,14 @@ def _fault_kind(exc: BaseException) -> str:
     return "worker_deaths"
 
 
-def _columns_checksum(columns: np.ndarray) -> int:
-    """CRC32 of a fragment's column bytes — the transport integrity tag."""
-    return int(zlib.crc32(np.ascontiguousarray(columns)))
-
-
 def empty_faults() -> dict:
     return {
         "retries": 0,  # task re-dispatches after a fault round
         "timeouts": 0,  # per-task deadline expiries
         "worker_deaths": 0,  # dead pools / dead sockets / dead workers
-        "payload_errors": 0,  # checksum mismatches on the fragment handoff
+        "payload_errors": 0,  # checksum mismatches on a worker's answer
         "backoff_s": [],  # keyed-jitter waits before each retry round
         "degraded_ranges": [],  # ranges that fell back to inline execution
-        "reclaimed_segments": 0,  # orphaned shm segments swept and unlinked
     }
 
 
@@ -287,10 +265,9 @@ class ShardTransport:
     A transport answers *how work runs*: it turns a :class:`ShardSpec`
     into a future (``submit``), turns the future's raw value into a
     verified :class:`ShardResult` (``finalize``), recovers from a fault
-    round (``recycle``), reclaims leaked resources (``sweep`` /
-    ``reap``) and shuts down (``close`` — idempotent, and safe on a
-    transport that never started). ``parallel`` is the capability flag
-    the driver consults before fanning out at all; ``can_reduce``
+    round (``recycle``) and shuts down (``close`` — idempotent, and safe
+    on a transport that never started). ``parallel`` is the capability
+    flag the driver consults before fanning out at all; ``can_reduce``
     advertises in-worker pairwise reduction.
     """
 
@@ -321,29 +298,16 @@ class ShardTransport:
     def submit(self, spec: ShardSpec) -> Future:
         raise NotImplementedError
 
-    def finalize(
-        self, spec: ShardSpec, raw, *, verify: bool = True
-    ) -> ShardResult:
+    def finalize(self, spec: ShardSpec, raw) -> ShardResult:
         """Turn a future's raw value into a verified :class:`ShardResult`."""
         return raw
 
-    def recycle(self, failed: list[ShardSpec]) -> int:
-        """Recover the substrate after a fault round; returns reclaimed.
+    def recycle(self) -> None:
+        """Recover the substrate after a fault round.
 
-        Called with the specs that faulted this round. The fork pool
-        retires and rebuilds; the socket transport drops suspect
-        connections and refreshes liveness. Whatever orphaned resources
-        the recovery reclaims are counted for ``faults``.
+        The fork pool retires and rebuilds; the socket transport drops
+        suspect connections and refreshes liveness.
         """
-        return 0
-
-    def sweep(self) -> int:
-        """Reclaim leaked resources on the error path; returns reclaimed."""
-        return 0
-
-    def reap(self) -> int:
-        """Opportunistic start-of-draw cleanup; returns reclaimed."""
-        return 0
 
     def close(self) -> None:
         """Release everything. Idempotent; safe if never started."""
@@ -387,119 +351,47 @@ class InlineTransport(ShardTransport):
 
 
 # ----------------------------------------------------------------------
-# Fork transport (the PR 5/6 pool, carved out behavior-identical)
+# Fork transport: copy-on-write workers answering through the pool pipe
 # ----------------------------------------------------------------------
-def _fork_run_spec(token: int, spec: ShardSpec, shm_name: str | None) -> tuple:
-    """Execute a spec in a forked worker; ship columns through shm.
+def _fork_run_spec(token: int, spec: ShardSpec) -> tuple:
+    """Execute a spec in a forked worker; answer through the result pipe.
 
-    Fragment results return ``("shm", indptr, name, n_ids, sizes, n1,
-    backend, peak, checksum)`` — the columns land in a ``SharedMemory``
-    block *created under the parent-chosen name* (shipping multi-MB
-    fragments through the result pipe interleaves 64 KiB reads with the
-    other workers' compute; an shm handoff is one parent-side memcpy).
-    Reduced results are small and return straight through the pipe as
-    ``("pipe", sizes, n1, backend, peak, checksum)`` with a CRC over
-    ``sizes + n1``.
+    The answer is ``(sizes, n1, backend, peak, checksum, indptr,
+    columns)``. A fragment answer carries the noisy CSR and a CRC32 over
+    its columns; a reduced answer carries ``None`` for both and a CRC32
+    over ``sizes + n1`` — the same words the socket frames carry.
 
-    The chaos hook keys on ``(spec.shard, spec.attempt)`` exactly as the
-    welded runner's did: kill/delay fire before the draw, poison
-    corrupts the transported payload *after* its checksum was taken from
-    the good draw (so parent verification must catch it), and
-    kill_after_write exits in the leak window the segment registry
-    sweep covers.
+    The chaos hook keys on ``(spec.shard, spec.attempt)``: kill and
+    delay fire before the draw, poison corrupts the sent payload *after*
+    its checksum was taken from the good draw (so parent verification
+    must catch it), and kill_after_write dies after the draw, before the
+    worker answers.
     """
     graph, layer = _WORKER_CONTEXTS[token]
     plan = FaultPlan.from_env()
     action = plan.action_for(spec.shard, spec.attempt) if plan else None
-    if action is not None and action.kind == "kill":
+    kind = action.kind if action is not None else None
+    if kind == "kill":
         os._exit(FAULT_EXIT_CODE)
-    if action is not None and action.kind == "delay":
+    if kind == "delay":
         time.sleep(action.delay_s)
     result = execute_spec(graph, layer, spec)
-    poison = action is not None and action.kind == "poison"
-    if not spec.want_fragment:
-        n1 = result.n1 if result.n1 is not None else np.empty(0, np.int64)
-        checksum = wire.reduced_checksum(result.sizes, n1)
-        if poison:
-            if n1.size:
-                n1 = n1.copy()
-                n1[0] = ~n1[0]
-            elif result.sizes.size:
-                result.sizes = result.sizes.copy()
-                result.sizes[0] = ~result.sizes[0]
-            else:
-                checksum ^= 1
-        out = (
-            "pipe", result.sizes, n1, result.backend,
-            result.peak_bytes, checksum,
-        )
-        if action is not None and action.kind == "kill_after_write":
-            os._exit(FAULT_EXIT_CODE)
-        return out
-    columns = result.columns
-    checksum = _columns_checksum(columns)
-    block = shared_memory.SharedMemory(
-        create=True, name=shm_name, size=max(1, columns.nbytes)
-    )
-    np.ndarray(columns.shape, dtype=np.int64, buffer=block.buf)[:] = columns
-    if poison:
-        if columns.nbytes:
-            view = np.ndarray(columns.shape, dtype=np.int64, buffer=block.buf)
-            view[0] = ~view[0]
-        else:
-            checksum ^= 1
-    block.close()  # parent unlinks after copying
-    if action is not None and action.kind == "kill_after_write":
-        os._exit(FAULT_EXIT_CODE)  # the leak window the registry sweep covers
+    sizes, n1, columns = result.sizes, result.n1, result.columns
+    if spec.want_fragment:
+        checksum = wire.columns_checksum(columns)
+        if kind == "poison":
+            (columns,), checksum = poison_payload([columns], checksum)
+    else:
+        n1 = n1 if n1 is not None else np.empty(0, np.int64)
+        checksum = wire.reduced_checksum(sizes, n1)
+        if kind == "poison":
+            (n1, sizes), checksum = poison_payload([n1, sizes], checksum)
+    if kind == "kill_after_write":
+        os._exit(FAULT_EXIT_CODE)
     return (
-        "shm", result.indptr, shm_name, int(columns.size), result.sizes,
-        result.n1, result.backend, result.peak_bytes, checksum,
+        sizes, n1, result.backend, result.peak_bytes, checksum,
+        result.indptr, columns,
     )
-
-
-def _unlink_segment(name: str) -> bool:
-    """Unlink the named segment; False when it does not exist.
-
-    Attaching maps the segment, and an empty one cannot be mapped: a
-    worker terminated between ``shm_open`` and ``ftruncate`` leaves a
-    0-byte segment that ``SharedMemory(name=...)`` refuses with
-    ``ValueError``. No resource tracker knows such a segment (the worker
-    registers only after mapping it), so it is unlinked by name.
-    """
-    try:
-        block = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    except ValueError:
-        try:
-            _shm_unlink("/" + name)
-        except FileNotFoundError:  # pragma: no cover - raced another sweep
-            return False
-        return True
-    block.close()
-    try:
-        block.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced another sweep
-        pass
-    return True
-
-
-def _sweep_segments(names: set[str], *, drop_missing: bool) -> int:
-    """Unlink every registered segment that exists; return the count.
-
-    Names whose segment does not (yet) exist are kept in the registry
-    unless ``drop_missing`` — a delayed zombie worker may still create
-    its segment later, and only close() (which joins every worker first)
-    can prove nobody ever will.
-    """
-    reclaimed = 0
-    for name in list(names):
-        if _unlink_segment(name):
-            reclaimed += 1
-        elif not drop_missing:
-            continue
-        names.discard(name)
-    return reclaimed
 
 
 def _retire_pool(pool: ProcessPoolExecutor) -> list:
@@ -538,41 +430,36 @@ def _join_processes(procs: list, grace_s: float | None = None) -> None:
             proc.join(timeout=1.0)
 
 
-def _release_fork(
-    token: int, pool_box: list, retired: list, segments: set
-) -> None:
-    """Free a fork transport's pools, context registration and segments.
+def _release_fork(token: int, pool_box: list, retired: list) -> None:
+    """Free a fork transport's pools and context registration.
 
     Shared by :meth:`ForkTransport.close` and the transport's GC
-    finalizer, so a transport dropped without ``close()`` cannot pin its
-    graph in ``_WORKER_CONTEXTS``, leave worker processes behind for the
-    interpreter's lifetime, or strand ``/dev/shm`` segments created by
-    zombie workers. Retired pools (torn down with ``wait=False`` after a
-    fault) are joined here under :data:`_JOIN_GRACE_S`, with stragglers
-    terminated, so every would-be segment creator is provably gone —
-    without an unbounded wait — before the final sweep.
+    finalizer, so a transport dropped without ``close()`` can neither
+    pin its graph in ``_WORKER_CONTEXTS`` nor leave worker processes
+    behind for the interpreter's lifetime. Retired pools (torn down with
+    ``wait=False`` after a fault) are joined here under
+    :data:`_JOIN_GRACE_S`, with stragglers terminated, so teardown stays
+    bounded even with a wedged worker.
     """
     pool = pool_box[0]
     if pool is not None:
         _join_processes(_retire_pool(pool))
         pool_box[0] = None
-    for procs, _names in retired:
+    for procs in retired:
         _join_processes(procs)
     retired.clear()
     _WORKER_CONTEXTS.pop(token, None)
-    _sweep_segments(segments, drop_missing=True)
 
 
 class ForkTransport(ShardTransport):
-    """The fork + SharedMemory pool, carved out of ``ShardedRunner``.
+    """Forked workers that inherit the graph and answer through a pipe.
 
-    Behavior- and byte-identical to the welded PR 5/6 machinery: workers
-    inherit the graph copy-on-write at fork time through the module
-    context registry, fragments return through parent-named shm
-    segments verified by CRC32, suspect pools retire without blocking
-    and are reaped once their workers provably exited, and every
-    parent-issued segment name is registered *before* dispatch so no
-    fault window can leak ``/dev/shm``.
+    Workers inherit the graph copy-on-write at fork time through the
+    module context registry, and every answer returns through the
+    ``ProcessPoolExecutor`` result pipe tagged with a CRC32 the parent
+    verifies. A suspect pool retires without blocking and is held as its
+    worker list until those workers exit; ``close()`` joins every pool
+    under a bounded grace.
     """
 
     name = "fork"
@@ -592,23 +479,13 @@ class ForkTransport(ShardTransport):
         _NEXT_TOKEN += 1
         # The pool lives in a one-slot box so the GC finalizer can free
         # it without holding a reference to the transport itself; pools
-        # torn down after a fault are parked in `_retired` as
-        # `(workers, names)` — their worker processes and the segment
-        # names those zombies might still create — reaped once every
-        # worker has exited, and force-joined (bounded) at close time.
-        # `_segments` holds every parent-issued shm name not yet unlinked.
+        # torn down after a fault are parked in `_retired` as their
+        # worker processes, dropped once every one has exited, and
+        # force-joined (bounded) at close time.
         self._pool_box: list = [None]
-        self._retired: list = []
-        self._segments: set[str] = set()
-        # (shard, attempt) -> segment name for specs in flight this round.
-        self._names: dict[tuple[int, int], str] = {}
+        self._retired: list[list] = []
         self._finalizer = weakref.finalize(
-            self,
-            _release_fork,
-            self._token,
-            self._pool_box,
-            self._retired,
-            self._segments,
+            self, _release_fork, self._token, self._pool_box, self._retired
         )
 
     # -- context ------------------------------------------------------
@@ -643,86 +520,37 @@ class ForkTransport(ShardTransport):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool_box[0] is None:
-            # Start the shm resource tracker *before* forking so every
-            # worker inherits it: create (worker) and unlink (parent)
-            # then talk to one tracker and nothing is reported leaked.
             # Sized by the worker cap alone — workers fork lazily on
             # demand, and sizing by one draw's range count would
             # permanently under-parallelize every later, larger draw.
-            resource_tracker.ensure_running()
             self._pool_box[0] = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=multiprocessing.get_context("fork"),
             )
         return self._pool_box[0]
 
-    def _new_segment_name(self, shard: int, attempt: int) -> str:
-        """A fresh parent-owned shm name, registered before dispatch.
-
-        Including the attempt keeps a retry's segment distinct from one
-        a delayed zombie dispatch of the same shard may create later.
-        """
-        seq = next(_SEGMENT_SEQ)
-        name = f"repro_{os.getpid():x}_{_SEGMENT_TAG}_{seq:x}_{shard}_{attempt}"
-        self._segments.add(name)
-        return name
-
     # -- the contract --------------------------------------------------
     def submit(self, spec: ShardSpec) -> Future:
-        pool = self._ensure_pool()
-        name = None
-        if spec.want_fragment:
-            name = self._new_segment_name(spec.shard, spec.attempt)
-        try:
-            future = pool.submit(_fork_run_spec, self._token, spec, name)
-        except BrokenProcessPool:
-            # The pool died mid-submission: the task never reached a
-            # worker, so nobody can ever create this segment — drop its
-            # name immediately.
-            if name is not None:
-                self._segments.discard(name)
-            raise
-        if name is not None:
-            self._names[(spec.shard, spec.attempt)] = name
-        return future
+        # A retired pool whose workers have all exited has nothing left
+        # to join, so recurring faults cannot grow `_retired` unbounded.
+        self._retired[:] = [
+            procs
+            for procs in self._retired
+            if any(proc.is_alive() for proc in procs)
+        ]
+        return self._ensure_pool().submit(_fork_run_spec, self._token, spec)
 
-    def finalize(
-        self, spec: ShardSpec, raw, *, verify: bool = True
-    ) -> ShardResult:
-        if raw[0] == "pipe":
-            _, sizes, n1, backend, peak, checksum = raw
-            if verify and wire.reduced_checksum(sizes, n1) != checksum:
-                raise PayloadIntegrityError(
-                    f"reduced block for shard {spec.shard} failed checksum "
-                    f"verification ({n1.size} pairs)"
-                )
-            return ShardResult(
-                shard=spec.shard,
-                attempt=spec.attempt,
-                sizes=sizes,
-                n1=n1 if spec.ia is not None else None,
-                backend=backend,
-                peak_bytes=int(peak),
-                payload_bytes=int(sizes.nbytes + n1.nbytes),
-            )
-        _, indptr, shm_name, n_ids, sizes, n1, backend, peak, checksum = raw
-        self._names.pop((spec.shard, spec.attempt), None)
-        block = shared_memory.SharedMemory(name=shm_name)
-        try:
-            columns = np.ndarray(
-                (n_ids,), dtype=np.int64, buffer=block.buf
-            ).copy()
-        finally:
-            block.close()
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced a sweep
-                pass
-            self._segments.discard(shm_name)
-        if verify and _columns_checksum(columns) != checksum:
+    def finalize(self, spec: ShardSpec, raw) -> ShardResult:
+        sizes, n1, backend, peak, checksum, indptr, columns = raw
+        if columns is None:
+            intact = wire.reduced_checksum(sizes, n1) == checksum
+            payload_bytes = sizes.nbytes + n1.nbytes
+        else:
+            intact = wire.columns_checksum(columns) == checksum
+            payload_bytes = columns.nbytes + sizes.nbytes
+        if not intact:
             raise PayloadIntegrityError(
-                f"shard fragment {shm_name!r} failed checksum verification "
-                f"({n_ids} ids)"
+                f"answer for shard {spec.shard} failed checksum verification"
             )
         return ShardResult(
             shard=spec.shard,
@@ -730,64 +558,26 @@ class ForkTransport(ShardTransport):
             sizes=sizes,
             indptr=indptr,
             columns=columns,
-            n1=n1,
+            n1=n1 if spec.ia is not None else None,
             backend=backend,
             peak_bytes=int(peak),
-            payload_bytes=int(columns.nbytes + sizes.nbytes),
+            payload_bytes=int(payload_bytes),
         )
 
-    def recycle(self, failed: list[ShardSpec]) -> int:
-        """Retire the suspect pool and reclaim orphaned segments.
+    def recycle(self) -> None:
+        """Retire the suspect pool; the next submit forks a fresh one.
 
         The pool is torn down without waiting (a stuck worker must not
-        block the retry path) and parked with the segment names its
-        zombies might still create; dead retired pools are reaped, and
-        whatever orphaned segments exist now are unlinked.
+        block the retry path) and parked as its worker list until those
+        workers exit.
         """
-        zombie_names = set()
-        for spec in failed:
-            name = self._names.pop((spec.shard, spec.attempt), None)
-            if name is not None:
-                zombie_names.add(name)
         pool = self._pool_box[0]
         if pool is not None:
             self._pool_box[0] = None
-            self._retired.append((_retire_pool(pool), zombie_names))
-        reclaimed = _sweep_segments(self._segments, drop_missing=False)
-        reclaimed += self.reap()
-        return reclaimed
-
-    def sweep(self) -> int:
-        return _sweep_segments(self._segments, drop_missing=False)
-
-    def reap(self) -> int:
-        """Reap retired pools whose workers all exited; returns reclaimed.
-
-        Non-blocking: pools with a still-live worker are kept. A dead
-        pool can never create another segment, so whichever of its
-        registered names exist are unlinked and the still-missing ones
-        leave the registry for good — without this, a long-running
-        server with recurring worker faults would grow ``_segments``
-        without bound (one name per dispatch whose worker died before
-        ``shm.create``).
-        """
-        reclaimed = 0
-        survivors = []
-        for procs, names in self._retired:
-            if any(proc.is_alive() for proc in procs):
-                survivors.append((procs, names))
-                continue
-            doomed = names & self._segments
-            reclaimed += _sweep_segments(doomed, drop_missing=True)
-            self._segments -= names
-        self._retired[:] = survivors
-        return reclaimed
+            self._retired.append(_retire_pool(pool))
 
     def close(self) -> None:
-        _release_fork(
-            self._token, self._pool_box, self._retired, self._segments
-        )
-        self._names.clear()
+        _release_fork(self._token, self._pool_box, self._retired)
 
 
 # ----------------------------------------------------------------------
@@ -920,8 +710,8 @@ class SocketTransport(ShardTransport):
     e.g. after an incremental rotation), SHARD_SPEC carries one work
     order, and the answer is one REDUCED frame (sizes + locally reduced
     ``N1`` scalars) followed by a FRAGMENT frame iff the spec asked for
-    rows — both integrity-tagged with the same CRC32 checksum word the
-    fork transport's shm handoff uses, verified at decode time.
+    rows — both integrity-tagged with the same CRC32 words fork answers
+    carry, verified at decode time.
 
     Each worker connection is serialized by its handle lock; concurrent
     specs fan out over a thread pool and round-robin across *live*
@@ -968,7 +758,6 @@ class SocketTransport(ShardTransport):
         self._graph_frame: bytes | None = None
         self._threads: ThreadPoolExecutor | None = None
         self._seq = 0
-        self._closed = False
         # base content digest -> {edge: final-membership} ops reaching
         # the *current* graph; oldest bases evicted at CHAIN_LIMIT.
         self._chain: OrderedDict[int, dict] = OrderedDict()
@@ -1018,7 +807,7 @@ class SocketTransport(ShardTransport):
 
     @property
     def parallel(self) -> bool:
-        return not self._closed and bool(self.registry.live())
+        return bool(self.registry.live())
 
     @property
     def workers(self) -> int:
@@ -1041,7 +830,6 @@ class SocketTransport(ShardTransport):
                 max_workers=max(2, 2 * len(self.registry.handles)),
                 thread_name_prefix="shard-tx",
             )
-        self._closed = False
         return self._threads
 
     # -- connection management ----------------------------------------
@@ -1240,12 +1028,9 @@ class SocketTransport(ShardTransport):
         handle = live[(spec.shard + spec.attempt) % len(live)]
         return self._pool().submit(self._request, handle, spec)
 
-    def finalize(
-        self, spec: ShardSpec, raw, *, verify: bool = True
-    ) -> ShardResult:
+    def finalize(self, spec: ShardSpec, raw) -> ShardResult:
         # Checksums were verified at frame decode time (wire.decode_frame
-        # raises PayloadIntegrityError on mismatch), so `verify` has
-        # nothing left to do here.
+        # raises PayloadIntegrityError on mismatch).
         reduced = raw["reduced"]
         fragment = raw["fragment"]
         n1 = reduced["n1"]
@@ -1261,7 +1046,7 @@ class SocketTransport(ShardTransport):
             payload_bytes=int(raw["payload_bytes"]),
         )
 
-    def recycle(self, failed: list[ShardSpec]) -> int:
+    def recycle(self) -> None:
         """Drop every suspect connection and heartbeat the cluster.
 
         Connections already faulted were dropped in ``_request``; the
@@ -1270,7 +1055,6 @@ class SocketTransport(ShardTransport):
         deterministic re-dispatch of a dead worker's ranges.
         """
         self.ping()
-        return 0
 
     def ping(self) -> int:
         """Heartbeat every handle; mark unresponsive workers dead.
@@ -1302,8 +1086,10 @@ class SocketTransport(ShardTransport):
         return len(self.registry.live())
 
     def close(self) -> None:
-        """Drop every connection and the request thread pool. Idempotent."""
-        self._closed = True
+        """Drop every connection and the request thread pool. Idempotent.
+
+        A closed transport stays usable: the next submit reconnects.
+        """
         if self._threads is not None:
             self._threads.shutdown(wait=True, cancel_futures=True)
             self._threads = None
@@ -1343,7 +1129,6 @@ class RetryPolicy:
     max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
-    verify_payloads: bool = True
 
     def __post_init__(self):
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -1395,15 +1180,14 @@ def drive(
     ``policy.max_retries`` rounds, after which the survivors degrade to
     inline :func:`execute_spec` with ``attempt = -1``. Non-fault
     exceptions (a PrivacyError from bad epsilon, a GraphError) are *not*
-    retried: they propagate after a resource sweep, because
-    re-dispatching a deterministic bug reproduces it.
+    retried: they propagate, because re-dispatching a deterministic bug
+    reproduces it.
 
     Mutates ``faults`` (an :func:`empty_faults` dict) and ``dispatches``
     (per-shard submission counts) in place; returns shard → result.
     """
     results: dict[int, ShardResult] = {}
     pending: dict[int, ShardSpec] = {spec.shard: spec for spec in specs}
-    faults["reclaimed_segments"] += transport.reap()
 
     if transport.parallel and len(specs) > 1:
         attempt = 0
@@ -1448,22 +1232,12 @@ def drive(
                     failed[s] = pending[s]
                     continue
                 try:
-                    raw = future.result()
-                    results[s] = transport.finalize(
-                        spec_a, raw, verify=policy.verify_payloads
-                    )
+                    results[s] = transport.finalize(spec_a, future.result())
                 except _WORKER_FAULTS as exc:
                     faults[_fault_kind(exc)] += 1
                     failed[s] = pending[s]
-                except BaseException:
-                    # A deterministic bug, not a worker fault: sweep the
-                    # substrate's outstanding resources and propagate.
-                    faults["reclaimed_segments"] += transport.sweep()
-                    raise
             if failed:
-                faults["reclaimed_segments"] += transport.recycle(
-                    [replace(pending[s], attempt=attempt) for s in failed]
-                )
+                transport.recycle()
             pending = failed
             attempt += 1
         for s, spec in sorted(pending.items()):

@@ -54,7 +54,7 @@ import time
 
 import numpy as np
 
-from repro.engine.faults import FAULT_EXIT_CODE, FaultPlan
+from repro.engine.faults import FAULT_EXIT_CODE, FaultPlan, poison_payload
 from repro.engine.transport import (
     _TAG_LAYERS,
     ShardSpec,
@@ -182,17 +182,12 @@ def _handle_spec(
     poison = action is not None and action.kind == "poison"
     # Poison corrupts the *transported* payload after the checksum was
     # taken from the good draw, so parent-side verification must catch
-    # it — the same contract as the fork transport's shm poison.
+    # it — the same helper and contract as the fork worker's poison.
     reduced_checksum = wire.reduced_checksum(sizes, n1)
     if poison:
-        if n1.size:
-            n1 = n1.copy()
-            n1[0] = ~n1[0]
-        elif sizes.size:
-            sizes = sizes.copy()
-            sizes[0] = ~sizes[0]
-        else:
-            reduced_checksum ^= 1
+        (n1, sizes), reduced_checksum = poison_payload(
+            [n1, sizes], reduced_checksum
+        )
     conn.sendall(
         wire.encode_reduced(
             spec.shard,
@@ -207,11 +202,7 @@ def _handle_spec(
         columns = result.columns
         frag_checksum = wire.columns_checksum(columns)
         if poison:
-            if columns.size:
-                columns = columns.copy()
-                columns[0] = ~columns[0]
-            else:
-                frag_checksum ^= 1
+            (columns,), frag_checksum = poison_payload([columns], frag_checksum)
         conn.sendall(
             wire.encode_fragment(
                 spec.shard,

@@ -50,15 +50,15 @@ class ShardExecutionError(ReproError):
 
 
 class PayloadIntegrityError(ShardExecutionError):
-    """A shard fragment's checksum did not match after the shm handoff.
+    """A worker's answer did not match the checksum it was sent with.
 
-    Raised parent-side when the columns copied out of a worker's
-    ``SharedMemory`` block fail checksum verification (a torn write, a
-    worker that died mid-copy, or an injected poison fault). The runner
-    treats it like any other worker fault: the range is re-dispatched —
-    the keyed draw makes the retry byte-identical — so this error only
-    escapes if corruption outlives every retry *and* the inline fallback,
-    which never computes a checksum because nothing crosses a process
+    Raised parent-side when a fork worker's piped answer or a socket
+    worker's frame fails CRC32 verification (a torn transfer, a
+    corrupted buffer, or an injected poison fault). The runner treats it
+    like any other worker fault: the range is re-dispatched — the keyed
+    draw makes the retry byte-identical — so this error only escapes if
+    corruption outlives every retry *and* the inline fallback, which
+    never computes a checksum because nothing crosses a process
     boundary.
     """
 

@@ -303,12 +303,10 @@ def encode_shard_spec(
 def columns_checksum(columns: np.ndarray) -> int:
     """CRC32 of a fragment's column bytes — the transport integrity tag.
 
-    The same word the fork transport verifies after its shared-memory
-    handoff; socket fragments carry it in their frame header.
+    Fork answers and socket FRAGMENT frames carry the same word. The CRC
+    reads the contiguous int64 buffer in place, without a bytes copy.
     """
-    return int(
-        zlib.crc32(np.ascontiguousarray(columns, dtype=np.int64).tobytes())
-    )
+    return int(zlib.crc32(np.ascontiguousarray(columns, dtype=np.int64)))
 
 
 def reduced_checksum(sizes: np.ndarray, n1: np.ndarray) -> int:

@@ -214,7 +214,7 @@ class NoisyViewCache:
         attaching a runner to an unbounded cache changes *which* (still
         distribution-identical) bits are drawn. The last sharded draw's
         per-shard log is kept in :attr:`last_shard_draw` and its
-        resilience log (retries, degraded ranges, reclaimed segments) in
+        resilience log (retries, timeouts, degraded ranges) in
         :attr:`last_shard_faults`. A *sharded bounded* cache also evicts
         at shard-range granularity: victims leave with their whole last
         drawn range in one batch (``stats.eviction_batches`` counts the

@@ -326,8 +326,7 @@ def serving_report(server: QueryServer, result: SimulationResult) -> str:
             f"({totals['worker_deaths']} worker deaths, "
             f"{totals['timeouts']} timeouts, "
             f"{totals['payload_errors']} payload errors), "
-            f"{totals['degraded_ranges']} degraded ranges, "
-            f"{totals['reclaimed_segments']} segments reclaimed"
+            f"{totals['degraded_ranges']} degraded ranges"
         )
     if server.tenants is not None:
         lines.append("tenants         :")

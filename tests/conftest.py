@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,44 @@ def expect_hll_floor():
         return contextlib.nullcontext()
 
     return expect
+
+
+class ForkWorkerWatch:
+    """The worker processes a fork transport forked, and proof they exited.
+
+    :meth:`hold` records the workers the transport holds at that moment
+    (its live pool's and every retired pool's); :meth:`assert_exited`
+    joins each under a bounded wait and fails on any still running. The
+    check reads these handles rather than
+    ``multiprocessing.active_children()``: the pool's manager thread may
+    reap a pid at the same moment, and that snapshot can then report a
+    reaped worker alive.
+    """
+
+    def __init__(self):
+        self.procs: list = []
+
+    def hold(self, transport) -> None:
+        pool = transport._pool_box[0]
+        if pool is not None:
+            self.procs.extend((pool._processes or {}).values())
+        for procs in transport._retired:
+            self.procs.extend(procs)
+
+    def assert_exited(self, timeout_s: float = 10.0) -> None:
+        deadline = time.monotonic() + timeout_s
+        for proc in self.procs:
+            # exitcode stays None for a moment when the manager thread is
+            # mid-reap, so poll until the deadline rather than once.
+            while proc.exitcode is None and time.monotonic() < deadline:
+                proc.join(timeout=0.05)
+        alive = [proc.pid for proc in self.procs if proc.exitcode is None]
+        assert not alive, f"forked workers outlived close(): {alive}"
+
+
+@pytest.fixture()
+def fork_workers() -> ForkWorkerWatch:
+    return ForkWorkerWatch()
 
 
 @pytest.fixture()

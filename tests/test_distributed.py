@@ -329,6 +329,27 @@ class TestCluster:
         np.testing.assert_array_equal(ref.indptr, second.indptr)
         np.testing.assert_array_equal(ref.columns, second.columns)
 
+    def test_closed_runner_fans_out_to_the_cluster_again(
+        self, graph, plan, cluster
+    ):
+        """Regression: close() set a closed flag that only a submit
+        cleared, and the driver never submits while ``parallel`` reads
+        False, so every draw after close() ran inline in the parent. A
+        closed runner reconnects and dispatches to the cluster again."""
+        transport = SocketTransport(cluster)
+        with ShardedRunner(
+            graph, Layer.UPPER, transport=transport
+        ) as runner:
+            first = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+            dispatched = [h.dispatched for h in transport.registry.handles]
+            runner.close()
+            second = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+            again = [h.dispatched for h in transport.registry.handles]
+        assert sum(dispatched) == plan.num_shards
+        assert again == [2 * n for n in dispatched]
+        np.testing.assert_array_equal(first.indptr, second.indptr)
+        np.testing.assert_array_equal(first.columns, second.columns)
+
     def test_repeat_draws_reuse_the_installed_graph(self, graph, plan, cluster):
         """The GRAPH frame ships once per worker per digest, not per
         draw: repeated draws on one runner keep the same bytes."""

@@ -5,12 +5,11 @@ shard task is a pure function of ``(graph, range, epsilon, entropy,
 epoch)``, so killed workers, stalled workers, corrupted payloads — any
 :class:`~repro.engine.faults.FaultPlan` at all — must yield output
 byte-identical to the fault-free keyed pass, charge the privacy ledger
-exactly once, and leave no ``SharedMemory`` segment behind.
+exactly once, and leave no forked worker running after ``close()``.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import time
 
@@ -22,7 +21,6 @@ from repro.engine.core import BatchQueryEngine
 from repro.engine.faults import FAULT_PLAN_ENV, FaultAction, FaultPlan
 from repro.engine.planner import plan_shards
 from repro.engine.sharded import ShardedRunner, fork_available
-from repro.engine.transport import ForkTransport
 from repro.errors import PrivacyError, ProtocolError
 from repro.graph.bipartite import Layer
 from repro.graph.generators import random_bipartite
@@ -65,32 +63,6 @@ def no_leftover_plan():
     FaultPlan.uninstall()
     yield
     FaultPlan.uninstall()
-
-
-def shm_residue() -> list[str]:
-    """Runner-created segments currently visible in /dev/shm."""
-    prefix = f"/dev/shm/repro_{os.getpid():x}_"
-    return glob.glob(prefix + "*")
-
-
-def plant_empty_segment(name: str) -> None:
-    """Create the 0-byte segment a worker terminated between ``shm_open``
-    and ``ftruncate`` leaves behind."""
-    import _posixshmem
-
-    fd = _posixshmem.shm_open(
-        "/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
-    )
-    os.close(fd)
-
-
-def remove_segment(name: str) -> None:
-    import _posixshmem
-
-    try:
-        _posixshmem.shm_unlink("/" + name)
-    except FileNotFoundError:
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +174,9 @@ SCHEDULES = [
 
 @needs_fork
 @pytest.mark.parametrize("fault_plan", SCHEDULES)
-def test_byte_identity_survives_schedule(graph, plan, reference, fault_plan):
+def test_byte_identity_survives_schedule(
+    graph, plan, reference, fault_plan, fork_workers
+):
     ref_indptr, ref_columns = reference
     with ShardedRunner(
         graph, Layer.UPPER,
@@ -217,8 +191,8 @@ def test_byte_identity_survives_schedule(graph, plan, reference, fault_plan):
             for key in ("retries", "timeouts", "worker_deaths", "payload_errors")
         ) or drawn.faults["degraded_ranges"]
         assert injected, "the schedule should have produced observable faults"
-    assert not runner._segments, "segment registry must be empty after close"
-    assert not shm_residue(), "no /dev/shm segment may outlive the runner"
+        fork_workers.hold(runner.transport)
+    fork_workers.assert_exited()
 
 
 @needs_fork
@@ -253,8 +227,10 @@ def test_fault_counters_classify_the_failure(graph, plan):
 
 
 @needs_fork
-def test_delay_trips_deadline_and_zombie_segment_is_reclaimed(graph, plan):
-    """A stalled worker times out; its late segment never leaks."""
+def test_delay_trips_deadline_and_zombie_worker_exits_by_close(
+    graph, plan, fork_workers
+):
+    """A stalled worker times out; close() joins the zombie."""
     with ShardedRunner(
         graph, Layer.UPPER,
         max_workers=2, timeout_s=0.3, max_retries=1, backoff_base_s=0.0,
@@ -262,25 +238,9 @@ def test_delay_trips_deadline_and_zombie_segment_is_reclaimed(graph, plan):
         with FaultPlan.delay_shards([0], 1.5).active():
             drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
         assert drawn.faults["timeouts"] >= 1
-        # close() joins the zombie before the final sweep.
-    assert not runner._segments
-    assert not shm_residue()
-
-
-@needs_fork
-def test_kill_after_write_reclaims_orphaned_segment(graph, plan):
-    """Regression: a worker dying between shm.create and the parent's
-    fetch used to leak the segment; the parent-owned name registry now
-    sweeps it on the failure path."""
-    with ShardedRunner(
-        graph, Layer.UPPER,
-        max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.01,
-    ) as runner:
-        with FaultPlan.kill_shards([0], after_write=True).active():
-            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        assert drawn.faults["reclaimed_segments"] >= 1
-        assert not shm_residue(), "orphan must be swept during the draw"
-    assert not runner._segments
+        fork_workers.hold(runner.transport)
+    assert not runner.transport._retired
+    fork_workers.assert_exited()
 
 
 @needs_fork
@@ -310,7 +270,9 @@ def test_queued_tasks_do_not_spuriously_time_out(graph, reference):
 
 
 @needs_fork
-def test_close_is_bounded_with_a_wedged_worker(graph, plan, monkeypatch):
+def test_close_is_bounded_with_a_wedged_worker(
+    graph, plan, monkeypatch, fork_workers
+):
     """Regression: close() used to join retired pools with ``wait=True``,
     so a permanently stuck worker hung shutdown forever. The bounded
     join terminates stragglers instead."""
@@ -324,85 +286,52 @@ def test_close_is_bounded_with_a_wedged_worker(graph, plan, monkeypatch):
         with FaultPlan.delay_shards([0], 60.0).active():
             drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
         assert drawn.faults["timeouts"] >= 1
+        fork_workers.hold(runner.transport)
         start = time.monotonic()
     elapsed = time.monotonic() - start  # `with` exit ran close()
     assert elapsed < 5.0, "close() must not inherit a wedged worker's hang"
-    assert not runner._segments
-    assert not shm_residue()
+    fork_workers.assert_exited()
 
 
 @needs_fork
-def test_recurring_faults_do_not_grow_the_segment_registry(graph, plan):
-    """Regression: names registered for dispatches whose worker died
-    before ``shm.create`` stayed in the registry until close(). Retired
-    pools are now reaped once their workers exit, dropping names nobody
-    can ever create, so a long-running server under recurring faults
-    keeps a bounded registry."""
+def test_recurring_faults_do_not_grow_the_retired_pools(
+    graph, plan, fork_workers
+):
+    """Regression: every faulted round retires a pool, so a long-running
+    server under recurring faults must drop retired pools once their
+    workers exit instead of keeping them until close()."""
     with ShardedRunner(
         graph, Layer.UPPER,
         max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.0,
     ) as runner:
+        transport = runner.transport
         for _ in range(3):
             with FaultPlan.kill_shards([0]).active():
-                runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        # Give each retired pool's surviving workers a moment to exit,
-        # then reap: nothing may accumulate across faulted draws.
-        deadline = time.monotonic() + 5.0
-        while runner._segments and time.monotonic() < deadline:
-            runner._reap_retired()
-            time.sleep(0.05)
-        assert not runner._segments
-        assert not runner._retired
-    assert not shm_residue()
-
-
-@needs_fork
-def test_empty_segment_is_swept_and_counted():
-    """Regression: a 0-byte segment cannot be mapped, so the sweep used to
-    raise ``ValueError`` on it, abort, and leak it. It is unlinked by
-    name instead."""
-    name = f"repro_{os.getpid():x}_empty_0_0"
-    transport = ForkTransport(max_workers=2)
-    plant_empty_segment(name)
-    try:
-        transport._segments.add(name)
-        assert transport.sweep() == 1
-        assert not transport._segments
-        assert not os.path.exists(f"/dev/shm/{name}")
-    finally:
-        remove_segment(name)
-        transport.close()
-
-
-@needs_fork
-def test_leaked_segment_does_not_shadow_a_new_runner(graph, plan):
-    """Regression: segment names restarted at 1 in every transport, so a
-    segment leaked under an earlier runner's first name made the next
-    runner's worker fail with ``FileExistsError`` (booked as a worker
-    death). Names are unique per process now."""
-    planted = f"repro_{os.getpid():x}_1_0_0"
-    plant_empty_segment(planted)
-    try:
-        with ShardedRunner(
-            graph, Layer.UPPER,
-            max_workers=2, timeout_s=30.0, max_retries=2, backoff_base_s=0.01,
-        ) as runner:
-            with FaultPlan.poison_shards([0]).active():
                 drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-            assert drawn.faults["payload_errors"] == 1
-            assert drawn.faults["worker_deaths"] == 0
-        assert not runner._segments
-        assert shm_residue() == [f"/dev/shm/{planted}"]
-    finally:
-        remove_segment(planted)
+            assert drawn.faults["worker_deaths"] >= 1
+        # Once the killed pools' workers have exited, the next dispatch
+        # drops their pools: nothing accumulates across faulted draws.
+        # (That draw may fault again — the live pool forked while the
+        # plan was installed — and retire a pool of its own.)
+        retired = list(transport._retired)
+        deadline = time.monotonic() + 10.0
+        while any(proc.exitcode is None for procs in retired for proc in procs):
+            assert time.monotonic() < deadline, "killed pools never exited"
+            time.sleep(0.05)
+        runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert all(procs not in retired for procs in transport._retired)
+        fork_workers.hold(transport)
+    fork_workers.assert_exited()
 
 
 @needs_fork
-def test_retired_pool_tracks_its_zombie_until_close(graph, plan, reference):
+def test_retired_pool_tracks_its_zombie_until_close(
+    graph, plan, reference, fork_workers
+):
     """Regression: ``shutdown()`` empties the executor's process map, so a
-    retired pool looked dead at once, the name its stalled worker would
-    still create left the registry, and close() joined nobody — the
-    segment appeared after close. The workers are kept with the pool."""
+    retired pool looked dead at once and close() joined nobody — the
+    stalled worker outlived close(). The workers are kept with the
+    pool."""
     ref_indptr, ref_columns = reference
     with ShardedRunner(
         graph, Layer.UPPER,
@@ -412,18 +341,19 @@ def test_retired_pool_tracks_its_zombie_until_close(graph, plan, reference):
             drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
         assert drawn.faults["timeouts"] >= 1
         assert np.array_equal(drawn.columns, ref_columns)
-        # The stalled worker is still asleep: its pool and the name it
-        # will write are both still tracked.
-        assert runner._retired
-        assert runner._segments
-    # close() joined the zombie (it wrote its segment) and swept.
-    assert not runner._retired
-    assert not runner._segments
-    assert not shm_residue()
+        # The stalled worker is still asleep: its retired pool is still
+        # tracked, with the worker's handle.
+        retired = runner.transport._retired
+        assert retired
+        assert any(proc.is_alive() for procs in retired for proc in procs)
+        fork_workers.hold(runner.transport)
+    # close() joined the zombie and dropped its pool.
+    assert not runner.transport._retired
+    fork_workers.assert_exited()
 
 
 @needs_fork
-def test_genuine_errors_are_not_retried(graph, plan):
+def test_genuine_errors_are_not_retried(graph, plan, fork_workers):
     """A deterministic bug (bad epsilon) propagates instead of retrying."""
     with ShardedRunner(
         graph, Layer.UPPER, max_workers=2, timeout_s=5.0, max_retries=3
@@ -431,8 +361,8 @@ def test_genuine_errors_are_not_retried(graph, plan):
         with pytest.raises(PrivacyError):
             runner.draw(plan, -1.0, entropy=ENTROPY, epoch=0)
         assert runner.fault_totals["retries"] == 0
-    assert not runner._segments
-    assert not shm_residue()
+        fork_workers.hold(runner.transport)
+    fork_workers.assert_exited()
 
 
 def test_inline_runner_ignores_fault_plans(graph, plan, reference):
@@ -467,7 +397,7 @@ def test_backoff_schedule_is_keyed_not_wallclock(graph, plan):
 # Engine-level accounting: faults charge nothing extra
 # ----------------------------------------------------------------------
 @needs_fork
-def test_single_charge_accounting_under_faults(graph):
+def test_single_charge_accounting_under_faults(graph, fork_workers):
     """Fault vs no-fault runs: identical estimates, identical spend."""
     pairs = sample_query_pairs(graph, Layer.UPPER, 12, rng=5)
 
@@ -477,7 +407,8 @@ def test_single_charge_accounting_under_faults(graph):
             mode=ExecutionMode.MATERIALIZE,
             shards=SHARDS, shard_timeout_s=2.0, shard_retries=2,
         ) as engine:
-            engine._shard_runner(graph, Layer.UPPER).backoff_base_s = 0.01
+            runner = engine._shard_runner(graph, Layer.UPPER)
+            runner.backoff_base_s = 0.01
             if fault_plan is not None:
                 with fault_plan.active():
                     result = engine.estimate_pairs(
@@ -487,6 +418,7 @@ def test_single_charge_accounting_under_faults(graph):
                 result = engine.estimate_pairs(
                     graph, Layer.UPPER, pairs, EPS, rng=99, ledger=ledger
                 )
+            fork_workers.hold(runner.transport)
         return result, ledger
 
     clean, clean_ledger = run(None)
@@ -500,4 +432,4 @@ def test_single_charge_accounting_under_faults(graph):
     faults = chaos.details["shards"]["faults"]
     assert faults["worker_deaths"] >= 1
     assert clean.details["shards"]["faults"]["retries"] == 0
-    assert not shm_residue()
+    fork_workers.assert_exited()

@@ -299,7 +299,9 @@ class TestTickWatchdog:
 # stop() vs the rotation window (the shutdown race)
 # ----------------------------------------------------------------------
 class TestShutdownRace:
-    def test_stop_inside_rotation_window_skips_the_rotation(self, graph):
+    def test_stop_inside_rotation_window_skips_the_rotation(
+        self, graph, fork_workers
+    ):
         """Regression: a timed rotation waking during shutdown used to be
         able to warm-draw into a shard runner stop() was freeing. The
         closing flag now gates the rotation body."""
@@ -314,14 +316,17 @@ class TestShutdownRace:
                 # Land stop() right inside the rotation window: the timer
                 # is mid-sleep and will wake while we are tearing down.
                 await asyncio.sleep(0.06)
+                fork_workers.hold(server._shard_runner.transport)
             return server
 
         server = asyncio.run(run())
         assert server._task is None and server._rotator is None
-        # Whatever rotations ran, none touched the freed runner: the
-        # runner's registry is empty and serving state is consistent.
+        # Whatever rotations ran, none touched the freed runner: it holds
+        # no pool, and every worker it forked has exited.
         assert server._shard_runner is not None
-        assert not server._shard_runner._segments
+        transport = server._shard_runner.transport
+        assert transport._pool_box[0] is None and not transport._retired
+        fork_workers.assert_exited()
 
     def test_stop_then_restart_still_serves(self, graph):
         async def run():
