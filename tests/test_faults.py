@@ -10,6 +10,7 @@ exactly once, and leave no forked worker running after ``close()``.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -19,10 +20,10 @@ import pytest
 from repro.engine.bulkrr import keyed_bulk_randomized_response
 from repro.engine.core import BatchQueryEngine
 from repro.engine.faults import FAULT_PLAN_ENV, FaultAction, FaultPlan
-from repro.engine.planner import plan_shards
+from repro.engine.planner import ShardPlan, plan_shards
 from repro.engine.sharded import ShardedRunner, fork_available
 from repro.errors import PrivacyError, ProtocolError
-from repro.graph.bipartite import Layer
+from repro.graph.bipartite import BipartiteGraph, Layer
 from repro.graph.generators import random_bipartite
 from repro.graph.sampling import sample_query_pairs
 from repro.privacy.accountant import PrivacyLedger
@@ -244,6 +245,30 @@ def test_delay_trips_deadline_and_zombie_worker_exits_by_close(
 
 
 @needs_fork
+def test_kill_after_write_dies_before_answering(
+    graph, plan, reference, fork_workers
+):
+    """kill_after_write on a fork worker exits after the draw and before
+    the answer is sent: the parent sees a broken pool, never a bad
+    payload, retries on a fresh pool and keeps the fault-free bits."""
+    ref_indptr, ref_columns = reference
+    with ShardedRunner(
+        graph, Layer.UPPER,
+        max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.01,
+    ) as runner:
+        with FaultPlan.kill_shards([0], after_write=True).active():
+            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert np.array_equal(drawn.indptr, ref_indptr)
+        assert np.array_equal(drawn.columns, ref_columns)
+        assert drawn.faults["worker_deaths"] >= 1
+        assert drawn.faults["payload_errors"] == 0
+        assert drawn.faults["timeouts"] == 0
+        assert not drawn.faults["degraded_ranges"]
+        fork_workers.hold(runner.transport)
+    fork_workers.assert_exited()
+
+
+@needs_fork
 def test_queued_tasks_do_not_spuriously_time_out(graph, reference):
     """The deadline bounds *execution*, not queue position: with more
     ranges than workers, a healthy task queued behind a full first wave
@@ -321,6 +346,81 @@ def test_recurring_faults_do_not_grow_the_retired_pools(
         runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
         assert all(procs not in retired for procs in transport._retired)
         fork_workers.hold(transport)
+    fork_workers.assert_exited()
+
+
+@needs_fork
+def test_empty_fragment_is_verified_and_counted(fork_workers):
+    """An answer with no noisy ids still carries a checksum. Isolated
+    vertices at a flip probability that underflows draw an empty
+    fragment; poisoning it flips the checksum's low bit (there is no
+    word to corrupt), and the parent catches and retries it like any
+    other bad payload."""
+    eps = 64.0
+    lonely = BipartiteGraph(30, 20, [(u, u % 20) for u in range(15, 30)])
+    verts = np.arange(30, dtype=np.int64)
+    split = ShardPlan(
+        vertices=verts,
+        offsets=np.array([0, 15, 30], dtype=np.int64),
+        est_bytes=np.zeros(2, dtype=np.int64),
+        mem_bytes=None,
+    )
+    ref_indptr, ref_columns = keyed_bulk_randomized_response(
+        lonely, Layer.UPPER, verts, eps, entropy=ENTROPY, epoch=0
+    )
+    assert ref_indptr[15] == 0 and ref_columns.size > 0
+    with ShardedRunner(
+        lonely, Layer.UPPER,
+        max_workers=2, timeout_s=5.0, max_retries=2, backoff_base_s=0.0,
+    ) as runner:
+        with FaultPlan.poison_shards([0]).active():
+            drawn = runner.draw(split, eps, entropy=ENTROPY, epoch=0)
+        assert np.array_equal(drawn.indptr, ref_indptr)
+        assert np.array_equal(drawn.columns, ref_columns)
+        assert drawn.faults["payload_errors"] == 1
+        assert drawn.faults["worker_deaths"] == 0
+        empty = drawn.shards[0]
+        assert empty["noisy_ids"] == 0 and empty["attempts"] == 2
+        assert not empty["degraded"]
+        fork_workers.hold(runner.transport)
+    fork_workers.assert_exited()
+
+
+@needs_fork
+def test_dropped_runner_does_not_disturb_a_new_runner(
+    graph, plan, reference, fork_workers
+):
+    """A fork runner dropped without close() leaves nothing behind for
+    the next one: its GC finalizer releases its worker context and every
+    worker it forked exits, and a new runner's faults are booked as its
+    own."""
+    from repro.engine.transport import _WORKER_CONTEXTS
+
+    ref_indptr, ref_columns = reference
+    dropped = ShardedRunner(
+        graph, Layer.UPPER,
+        max_workers=2, timeout_s=30.0, max_retries=2, backoff_base_s=0.01,
+    )
+    first = dropped.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+    assert np.array_equal(first.columns, ref_columns)
+    token = dropped.transport._token
+    fork_workers.hold(dropped.transport)
+    assert fork_workers.procs, "a 2-worker draw should have forked"
+    del dropped, first
+    gc.collect()
+    assert token not in _WORKER_CONTEXTS
+    fork_workers.assert_exited()
+    with ShardedRunner(
+        graph, Layer.UPPER,
+        max_workers=2, timeout_s=30.0, max_retries=2, backoff_base_s=0.01,
+    ) as runner:
+        with FaultPlan.poison_shards([0]).active():
+            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
+        assert np.array_equal(drawn.indptr, ref_indptr)
+        assert np.array_equal(drawn.columns, ref_columns)
+        assert drawn.faults["payload_errors"] == 1
+        assert drawn.faults["worker_deaths"] == 0
+        fork_workers.hold(runner.transport)
     fork_workers.assert_exited()
 
 
