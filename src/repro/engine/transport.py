@@ -20,9 +20,12 @@ that decision into three layers:
   :class:`SocketTransport` (remote workers over TCP speaking the
   length-prefixed frames of :mod:`repro.protocol.wire`, with a
   :class:`WorkerRegistry` tracking liveness and re-dispatching ranges
-  away from dead workers). Fork answers and socket frames carry the
-  same CRC32 words (:func:`repro.protocol.wire.columns_checksum`,
-  :func:`repro.protocol.wire.reduced_checksum`).
+  away from dead workers). Fork answers and socket frames are tagged by
+  the same CRC32 helpers: :func:`repro.protocol.wire.reduced_checksum`
+  over every answer's sizes + ``N1``, and
+  :func:`repro.protocol.wire.columns_checksum` over the column bytes a
+  fragment crosses in (int64 in a socket frame, the narrowest id dtype
+  through the fork pipe).
 * :func:`drive` — the transport-agnostic retry driver: wave-scaled
   deadlines, keyed-Philox backoff, fault classification, CRC32
   verification and terminal inline degradation, so every transport —
@@ -54,7 +57,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.engine.bulkrr import keyed_bulk_randomized_response
+from repro.engine.bulkrr import (
+    keyed_bulk_randomized_response,
+    lengths_to_indptr,
+)
 from repro.engine.faults import FAULT_EXIT_CODE, FaultPlan, poison_payload
 from repro.engine.pairwise import (
     choose_backend,
@@ -356,15 +362,21 @@ class InlineTransport(ShardTransport):
 def _fork_run_spec(token: int, spec: ShardSpec) -> tuple:
     """Execute a spec in a forked worker; answer through the result pipe.
 
-    The answer is ``(sizes, n1, backend, peak, checksum, indptr,
-    columns)``. A fragment answer carries the noisy CSR and a CRC32 over
-    its columns; a reduced answer carries ``None`` for both and a CRC32
-    over ``sizes + n1`` — the same words the socket frames carry.
+    The answer is ``(sizes, n1, backend, peak, checksum, columns,
+    columns_checksum)``, tagged like the socket worker's frames:
+    ``checksum`` is the CRC32 over ``sizes + n1`` on every answer; a
+    spec that wants its fragment also gets the noisy columns and their
+    CRC32 (``None`` for both otherwise). The columns cross in the
+    narrowest unsigned dtype that holds an opposite-layer id (``uint16``
+    below 65,536 vertices: a quarter of the int64 bytes to pickle, pipe
+    and checksum). The parent rebuilds ``indptr`` from the checked
+    sizes, so nothing reaches it unverified.
 
     The chaos hook keys on ``(spec.shard, spec.attempt)``: kill and
-    delay fire before the draw, poison corrupts the sent payload *after*
-    its checksum was taken from the good draw (so parent verification
-    must catch it), and kill_after_write dies after the draw, before the
+    delay fire before the draw, poison corrupts the sent payload (the
+    columns when a fragment rides along, else ``sizes + n1``) *after*
+    its checksum was taken from the good draw, so parent verification
+    must catch it, and kill_after_write dies after the draw, before the
     worker answers.
     """
     graph, layer = _WORKER_CONTEXTS[token]
@@ -376,21 +388,28 @@ def _fork_run_spec(token: int, spec: ShardSpec) -> tuple:
     if kind == "delay":
         time.sleep(action.delay_s)
     result = execute_spec(graph, layer, spec)
-    sizes, n1, columns = result.sizes, result.n1, result.columns
+    sizes = result.sizes
+    n1 = result.n1 if result.n1 is not None else np.empty(0, np.int64)
+    checksum = wire.reduced_checksum(sizes, n1)
+    columns = columns_checksum = None
     if spec.want_fragment:
-        checksum = wire.columns_checksum(columns)
-        if kind == "poison":
-            (columns,), checksum = poison_payload([columns], checksum)
-    else:
-        n1 = n1 if n1 is not None else np.empty(0, np.int64)
-        checksum = wire.reduced_checksum(sizes, n1)
-        if kind == "poison":
+        id_dtype = np.min_scalar_type(
+            max(0, graph.layer_size(layer.opposite()) - 1)
+        )
+        columns = result.columns.astype(id_dtype)
+        columns_checksum = wire.columns_checksum(columns)
+    if kind == "poison":
+        if columns is not None:
+            (columns,), columns_checksum = poison_payload(
+                [columns], columns_checksum
+            )
+        else:
             (n1, sizes), checksum = poison_payload([n1, sizes], checksum)
     if kind == "kill_after_write":
         os._exit(FAULT_EXIT_CODE)
     return (
         sizes, n1, result.backend, result.peak_bytes, checksum,
-        result.indptr, columns,
+        columns, columns_checksum,
     )
 
 
@@ -456,10 +475,11 @@ class ForkTransport(ShardTransport):
 
     Workers inherit the graph copy-on-write at fork time through the
     module context registry, and every answer returns through the
-    ``ProcessPoolExecutor`` result pipe tagged with a CRC32 the parent
-    verifies. A suspect pool retires without blocking and is held as its
-    worker list until those workers exit; ``close()`` joins every pool
-    under a bounded grace.
+    ``ProcessPoolExecutor`` result pipe tagged with CRC32 words the
+    parent verifies (fragment ids cross in their narrowest dtype; see
+    :func:`_fork_run_spec`). A suspect pool retires without blocking and
+    is held as its worker list until those workers exit; ``close()``
+    joins every pool under a bounded grace.
     """
 
     name = "fork"
@@ -541,13 +561,15 @@ class ForkTransport(ShardTransport):
         return self._ensure_pool().submit(_fork_run_spec, self._token, spec)
 
     def finalize(self, spec: ShardSpec, raw) -> ShardResult:
-        sizes, n1, backend, peak, checksum, indptr, columns = raw
-        if columns is None:
-            intact = wire.reduced_checksum(sizes, n1) == checksum
-            payload_bytes = sizes.nbytes + n1.nbytes
-        else:
-            intact = wire.columns_checksum(columns) == checksum
-            payload_bytes = columns.nbytes + sizes.nbytes
+        sizes, n1, backend, peak, checksum, columns, columns_checksum = raw
+        intact = wire.reduced_checksum(sizes, n1) == checksum
+        payload_bytes = sizes.nbytes + n1.nbytes
+        indptr = None
+        if columns is not None:
+            intact &= wire.columns_checksum(columns) == columns_checksum
+            payload_bytes += columns.nbytes
+            indptr = lengths_to_indptr(sizes)
+            columns = columns.astype(np.int64)
         if not intact:
             raise PayloadIntegrityError(
                 f"answer for shard {spec.shard} failed checksum verification"

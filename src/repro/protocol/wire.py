@@ -22,9 +22,9 @@ the same frame idiom with the parent↔worker message kinds:
 * ``shard-spec`` — one DRAW_SHARD work order: the keyed-draw arguments
   ``(vertices, epsilon, entropy, epoch, versions)`` plus the optional
   in-worker pairwise reduction request (local pair slots + domain);
-* ``fragment`` — a shard's CSR noisy rows, integrity-tagged with the
-  same CRC32 checksum word the fork transport's shared-memory handoff
-  uses;
+* ``fragment`` — a shard's CSR noisy rows, integrity-tagged with a
+  CRC32 over their int64 column bytes (:func:`columns_checksum`, the
+  helper fork answers are tagged with too);
 * ``reduced`` — a shard's row sizes plus locally reduced pairwise
   ``N1`` scalars (the frames that replace fragments on pair-dense
   workloads), under the same checksum word;
@@ -303,10 +303,11 @@ def encode_shard_spec(
 def columns_checksum(columns: np.ndarray) -> int:
     """CRC32 of a fragment's column bytes — the transport integrity tag.
 
-    Fork answers and socket FRAGMENT frames carry the same word. The CRC
-    reads the contiguous int64 buffer in place, without a bytes copy.
+    It covers the bytes as they cross: socket FRAGMENT frames carry it
+    over their int64 ids, fork answers over the narrow ids they pipe.
+    The CRC reads the contiguous buffer in place, without a bytes copy.
     """
-    return int(zlib.crc32(np.ascontiguousarray(columns, dtype=np.int64)))
+    return int(zlib.crc32(np.ascontiguousarray(columns)))
 
 
 def reduced_checksum(sizes: np.ndarray, n1: np.ndarray) -> int:

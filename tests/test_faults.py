@@ -10,7 +10,6 @@ exactly once, and leave no forked worker running after ``close()``.
 
 from __future__ import annotations
 
-import gc
 import os
 import time
 
@@ -212,19 +211,43 @@ def test_kill_everything_degrades_to_inline(graph, plan, reference):
     assert all(shard["degraded"] for shard in drawn.shards)
 
 
+# Each fault kind with its counter and the most tasks it can fail: a
+# poisoned answer fails only itself, while a worker death breaks its
+# pool and every task in flight there.
+CLASSIFIED = [
+    pytest.param(FaultPlan.poison_shards([0]), "payload_errors", 1, id="poison"),
+    pytest.param(
+        FaultPlan.kill_shards([0], after_write=True), "worker_deaths", SHARDS,
+        id="kill-after-write",
+    ),
+]
+
+
 @needs_fork
-def test_fault_counters_classify_the_failure(graph, plan):
+@pytest.mark.parametrize("fault_plan, booked, most", CLASSIFIED)
+def test_fault_counters_classify_the_failure(
+    graph, plan, reference, fault_plan, booked, most
+):
+    """A fault is booked under its own counter and no other. A fork
+    worker killed after its draw dies before answering, so the parent
+    sees a broken pool, never a bad payload or a timeout."""
     with ShardedRunner(
         graph, Layer.UPPER,
-        max_workers=2, timeout_s=1.0, max_retries=2, backoff_base_s=0.01,
+        max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.01,
     ) as runner:
-        with FaultPlan.poison_shards([0]).active():
+        with fault_plan.active():
             drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        assert drawn.faults["payload_errors"] == 1
-        assert drawn.faults["worker_deaths"] == 0
+        assert np.array_equal(drawn.columns, reference[1])
+        counts = {
+            key: drawn.faults[key]
+            for key in ("timeouts", "worker_deaths", "payload_errors")
+        }
+        assert 1 <= counts.pop(booked) <= most
+        assert not any(counts.values())
         assert drawn.faults["retries"] >= 1
         assert len(drawn.faults["backoff_s"]) >= 1
-        assert runner.fault_totals["payload_errors"] == 1
+        assert not drawn.faults["degraded_ranges"]
+        assert runner.fault_totals[booked] == drawn.faults[booked]
 
 
 @needs_fork
@@ -241,30 +264,6 @@ def test_delay_trips_deadline_and_zombie_worker_exits_by_close(
         assert drawn.faults["timeouts"] >= 1
         fork_workers.hold(runner.transport)
     assert not runner.transport._retired
-    fork_workers.assert_exited()
-
-
-@needs_fork
-def test_kill_after_write_dies_before_answering(
-    graph, plan, reference, fork_workers
-):
-    """kill_after_write on a fork worker exits after the draw and before
-    the answer is sent: the parent sees a broken pool, never a bad
-    payload, retries on a fresh pool and keeps the fault-free bits."""
-    ref_indptr, ref_columns = reference
-    with ShardedRunner(
-        graph, Layer.UPPER,
-        max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.01,
-    ) as runner:
-        with FaultPlan.kill_shards([0], after_write=True).active():
-            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        assert np.array_equal(drawn.indptr, ref_indptr)
-        assert np.array_equal(drawn.columns, ref_columns)
-        assert drawn.faults["worker_deaths"] >= 1
-        assert drawn.faults["payload_errors"] == 0
-        assert drawn.faults["timeouts"] == 0
-        assert not drawn.faults["degraded_ranges"]
-        fork_workers.hold(runner.transport)
     fork_workers.assert_exited()
 
 
@@ -387,40 +386,31 @@ def test_empty_fragment_is_verified_and_counted(fork_workers):
 
 
 @needs_fork
-def test_dropped_runner_does_not_disturb_a_new_runner(
-    graph, plan, reference, fork_workers
-):
-    """A fork runner dropped without close() leaves nothing behind for
-    the next one: its GC finalizer releases its worker context and every
-    worker it forked exits, and a new runner's faults are booked as its
-    own."""
-    from repro.engine.transport import _WORKER_CONTEXTS
-
-    ref_indptr, ref_columns = reference
-    dropped = ShardedRunner(
-        graph, Layer.UPPER,
-        max_workers=2, timeout_s=30.0, max_retries=2, backoff_base_s=0.01,
+def test_poisoned_reduced_answer_is_caught(graph, plan, fork_workers):
+    """A shard whose every pair is local answers sizes + N1 only. Its
+    CRC covers both, so a poisoned reduced answer is caught, counted and
+    retried, and the redrawn N1 equals the inline reduction."""
+    pairs = [
+        (a, a + 1) for lo, hi in plan.ranges() for a in range(lo, hi - 1, 2)
+    ]
+    ia, ib = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    kwargs = dict(
+        entropy=ENTROPY, epoch=0, ia=ia, ib=ib, domain=graph.num_lower
     )
-    first = dropped.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-    assert np.array_equal(first.columns, ref_columns)
-    token = dropped.transport._token
-    fork_workers.hold(dropped.transport)
-    assert fork_workers.procs, "a 2-worker draw should have forked"
-    del dropped, first
-    gc.collect()
-    assert token not in _WORKER_CONTEXTS
-    fork_workers.assert_exited()
+    with ShardedRunner(graph, Layer.UPPER, max_workers=1) as runner:
+        ref = runner.run_workload(plan, EPS, **kwargs)
     with ShardedRunner(
         graph, Layer.UPPER,
-        max_workers=2, timeout_s=30.0, max_retries=2, backoff_base_s=0.01,
+        max_workers=2, timeout_s=2.0, max_retries=2, backoff_base_s=0.0,
     ) as runner:
         with FaultPlan.poison_shards([0]).active():
-            drawn = runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
-        assert np.array_equal(drawn.indptr, ref_indptr)
-        assert np.array_equal(drawn.columns, ref_columns)
-        assert drawn.faults["payload_errors"] == 1
-        assert drawn.faults["worker_deaths"] == 0
+            drawn = runner.run_workload(plan, EPS, **kwargs)
         fork_workers.hold(runner.transport)
+    assert drawn.transport["reduced_shards"] == SHARDS
+    np.testing.assert_array_equal(drawn.n1, ref.n1)
+    np.testing.assert_array_equal(drawn.sizes, ref.sizes)
+    assert drawn.faults["payload_errors"] == 1
+    assert drawn.faults["worker_deaths"] == 0
     fork_workers.assert_exited()
 
 

@@ -244,19 +244,41 @@ class TestShardedRunner:
         with pytest.raises(ProtocolError):
             ShardedRunner(graph, Layer.UPPER, max_workers=0)
 
-    def test_dropped_runner_releases_its_context(self, graph):
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            1,
+            pytest.param(
+                2,
+                marks=pytest.mark.skipif(
+                    not fork_available(), reason="needs fork"
+                ),
+            ),
+        ],
+    )
+    def test_dropped_runner_releases_its_context(
+        self, graph, workers, fork_workers
+    ):
         """A runner dropped without close() must not pin the graph in
-        the module context registry (GC finalizer)."""
+        the module context registry, nor leave a forked worker running
+        (GC finalizer)."""
         import gc
 
         from repro.engine import sharded as sharded_mod
 
-        runner = ShardedRunner(graph, Layer.UPPER, max_workers=1)
+        runner = ShardedRunner(graph, Layer.UPPER, max_workers=workers)
         token = runner.transport._token
         assert token in sharded_mod._WORKER_CONTEXTS
+        if workers > 1:
+            verts = np.arange(120, dtype=np.int64)
+            plan = plan_shards(graph, Layer.UPPER, verts, EPS, shards=2)
+            runner.draw(plan, EPS, entropy=5, epoch=0)
+            fork_workers.hold(runner.transport)
+            assert fork_workers.procs, "a 2-worker draw should have forked"
         del runner
         gc.collect()
         assert token not in sharded_mod._WORKER_CONTEXTS
+        fork_workers.assert_exited()
 
 
 # ----------------------------------------------------------------------

@@ -182,6 +182,9 @@ class TestForkMatchesInline:
             forked = fork_runner.draw(plan, EPS, entropy=ENTROPY, epoch=0)
         np.testing.assert_array_equal(ref.indptr, forked.indptr)
         np.testing.assert_array_equal(ref.columns, forked.columns)
+        # Fork fragments cross the pipe as narrow ids; the parent must
+        # hand back the same int64 columns, not just equal values.
+        assert forked.columns.dtype == ref.columns.dtype == np.int64
 
     @needs_fork
     def test_run_workload_is_byte_identical(self, graph, plan):
